@@ -274,7 +274,7 @@ def integrate_ensemble(epsilon: float, drives: Sequence[FieldRealization], dt: f
 
     All drives must have identical mode frequencies (same band, same mode
     count); the forcing of every realization is then evaluated in a single
-    blocked matrix product, which is where nearly all the time goes.
+    ``mode_sum`` call.
     """
     _check_epsilon(epsilon)
     _check_dt(dt)

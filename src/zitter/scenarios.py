@@ -73,6 +73,15 @@ def _epsilon_list(key, value):
     return [_epsilon(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
+def _sweep_epsilons(key, value):
+    eps = _epsilon_list(key, value)
+    if len(set(eps)) < 2:
+        raise ConfigError(
+            f"{key} needs at least two distinct epsilon values to fit a slope, got {value!r}"
+        )
+    return eps
+
+
 def _band(key, value):
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{key} must be a [lo, hi] pair, got {value!r}")
@@ -86,7 +95,7 @@ def _band(key, value):
 def _window(key, value):
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{key} must be a [start, end] pair, got {value!r}")
-    a, b = float(value[0]), float(value[1])
+    a, b = _number(f"{key}[0]", value[0]), _number(f"{key}[1]", value[1])
     if not (0.0 <= a < b):
         raise ConfigError(f"{key} must satisfy 0 <= start < end, got {value!r}")
     return [a, b]
@@ -156,7 +165,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "sweep-epsilon": {
         "constants_file": (_path_or_none, None),
-        "epsilons": (_epsilon_list, [0.001, 0.002, 0.005, 0.01, 0.02]),
+        "epsilons": (_sweep_epsilons, [0.001, 0.002, 0.005, 0.01, 0.02]),
         "dt": (_dt, _DEFAULT_DT),
     },
     "psd-check": {
@@ -421,6 +430,11 @@ def _run_psd_check(sc, out, fc, dc, params):
     sets = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
     sample_dt = params["sample_dt"]
     n_samples = int(sets[0].t_rec / sample_dt)
+    if params["segment_len"] > n_samples:
+        raise ConfigError(
+            f"segment_len {params['segment_len']} exceeds the {n_samples} samples per "
+            f"realization (t_rec / sample_dt)"
+        )
     times = sample_dt * np.arange(n_samples)
     cos_c = np.stack([m.amplitudes * np.cos(m.phases) for m in sets], axis=1)
     sin_c = np.stack([-m.amplitudes * np.sin(m.phases) for m in sets], axis=1)

@@ -180,6 +180,23 @@ class TestExitCodes:
                                    "params": {"epsilon": 2.0}}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config, key", [
+        # the slope fit needs two distinct epsilons
+        ({"scenario": "sweep-epsilon", "params": {"epsilons": [0.01]}}, "epsilons"),
+        ({"scenario": "sweep-epsilon", "params": {"epsilons": [0.01, 0.01]}}, "epsilons"),
+        ({"scenario": "transient", "params": {"fit_window": ["a", 1]}}, "fit_window[0]"),
+        # the default series holds 29,984 samples per realization
+        ({"scenario": "psd-check", "params": {"segment_len": 100000}}, "segment_len"),
+    ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
+            "psd-segment-too-long"])
+    def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+
     def test_missing_scenario_returns_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
 

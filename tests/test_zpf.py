@@ -136,6 +136,48 @@ class TestEvaluation:
         assert np.var(e) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
 
+def trig_double_sum(omegas, cos_coeff, sin_coeff, times):
+    """sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)], one mode at a time."""
+    total = 0.0
+    for w, cc, sc in zip(omegas, cos_coeff, sin_coeff):
+        total = total + np.multiply.outer(np.cos(w * times), cc) \
+            + np.multiply.outer(np.sin(w * times), sc)
+    return total
+
+
+BAND_64 = np.linspace(0.8, 1.2, 64)
+BAND_2000 = np.linspace(0.8, 1.2, 2000)
+
+
+class TestModeSumOracle:
+    """mode_sum against an explicit double sum that shares no code with it."""
+
+    @pytest.mark.parametrize("omegas, times", [
+        (BAND_64, 0.05 * np.arange(300)),
+        (BAND_64, 137.5 + 0.37 * np.arange(300)),
+        # crosses a block boundary; not a multiple of the block length
+        (BAND_64, 3.0 + 0.11 * np.arange(zpf._BLOCK + 37)),
+        (BAND_64, np.array([42.25])),
+        (BAND_64, np.sort(np.random.default_rng(5).uniform(0.0, 400.0, 257))),
+        # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
+        (BAND_2000, 25000.0 + 2.0 * np.arange(3000)),
+        # irregular modes on a uniform time grid
+        (np.sort(np.random.default_rng(6).uniform(0.8, 1.2, 40)), 0.3 * np.arange(500)),
+    ], ids=["grid", "offset-grid", "multi-block", "single-time", "irregular-times",
+            "2000-modes-near-t_rec", "irregular-modes"])
+    @pytest.mark.parametrize("n_real", [None, 3])
+    def test_matches_double_sum(self, omegas, times, n_real):
+        shape = (len(omegas),) if n_real is None else (len(omegas), n_real)
+        rng = np.random.default_rng(17)
+        cos_coeff = rng.normal(size=shape)
+        sin_coeff = rng.normal(size=shape)
+        expected = trig_double_sum(omegas, cos_coeff, sin_coeff, times)
+        got = zpf.mode_sum(omegas, cos_coeff, sin_coeff, times)
+        assert got.shape == expected.shape
+        rms = np.sqrt(np.mean(expected**2))
+        assert np.max(np.abs(got - expected)) <= 1e-8 * rms
+
+
 class TestPsdEstimation:
     def test_single_tone_integrated_power(self):
         dt, amp, w0 = 0.1, 2.0, 0.9
