@@ -37,7 +37,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericalInstabilityError
 from .zpf import (
-    FieldRealization,
     ModeSet,
     SpectrumModel,
     child_seeds,

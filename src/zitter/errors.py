@@ -6,4 +6,4 @@ class ConfigError(ValueError):
 
 
 class NumericalInstabilityError(RuntimeError):
-    """An integration blew up (energy growth beyond the allowed bound)."""
+    """An integration cannot be stable: its one-step map has an eigenvalue |lam| >= 1."""

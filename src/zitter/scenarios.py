@@ -113,6 +113,20 @@ def _number(key, value):
     return float(value)
 
 
+def _light_speed_fraction(key, value):
+    v = _number(key, value)
+    if abs(v) > 1.0:
+        raise ConfigError(f"{key} must lie in [-1, 1] (|v0| <= c), got {value!r}")
+    return v
+
+
+def _rest_energy_multiple(key, value):
+    v = _number(key, value)
+    if v < 1.0:
+        raise ConfigError(f"{key} must be >= 1 (E >= m c^2), got {value!r}")
+    return v
+
+
 def _path_or_none(key, value):
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{key} must be a path string or null, got {value!r}")
@@ -157,9 +171,9 @@ _SCHEMAS: dict[str, dict] = {
     },
     "dirac": {
         "constants_file": (_path_or_none, None),
-        "energy_over_mc2": (_positive, 1.0),
+        "energy_over_mc2": (_rest_energy_multiple, 1.0),
         "momentum": (_number, 0.0),
-        "v0_over_c": (_number, 1.0),
+        "v0_over_c": (_light_speed_fraction, 1.0),
         "n_samples": (_int_at_least(2), 256),
         "n_periods": (_positive, 2.0),
     },
@@ -317,6 +331,11 @@ def _run_transient(sc, out, fc, dc, params):
     t_max = params["t_max"] if params["t_max"] is not None else 6.0 / eps
     window = params["fit_window"] if params["fit_window"] is not None else [1.0 / eps, 6.0 / eps]
     params.update(epsilon=eps, t_max=t_max, fit_window=window)
+    if window[1] > t_max:
+        raise ConfigError(f"fit_window {window} must end by t_max {t_max:.6g}")
+    if params["z0_re"] == params["z0_im"] == 0.0:
+        raise ConfigError("z0_re and z0_im are both 0: the transient is identically "
+                          "zero and has no decay to fit")
     fm = dynamics.FastMotionParams(epsilon=eps,
                                    z0=complex(params["z0_re"], params["z0_im"]))
     traj = dynamics.integrate_transient(fm, params["dt"], t_max)
@@ -347,12 +366,19 @@ def _run_stationary(sc, out, fc, dc, params):
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
     params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
-    spectrum = zpf.sed_drive_spectrum(eps, (params["band"][0], params["band"][1]))
+    # the drive horizon check, made before the modes are synthesized
+    lo, hi = params["band"]
+    t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (hi - lo)
+    t_end = params["dt"] * math.ceil(t_max / params["dt"] - 1e-9)
+    if t_end >= t_rec:
+        raise ConfigError(
+            f"t_max {t_max:.6g} reaches the recurrence time t_rec = {t_rec:.6g} of "
+            f"n_modes {params['n_modes']} over the band {params['band']}; "
+            "raise n_modes or lower t_max"
+        )
+    spectrum = zpf.sed_drive_spectrum(eps, (lo, hi))
     seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
-    drives = [
-        zpf.FieldRealization(zpf.synthesize_band(spectrum, params["n_modes"], s))
-        for s in seeds
-    ]
+    drives = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
     trajs = dynamics.integrate_ensemble(eps, drives, params["dt"], t_max)
     stats = analysis.ensemble_stationary_variance(trajs, discard_time / t_max)
     payload = {
@@ -436,9 +462,7 @@ def _run_psd_check(sc, out, fc, dc, params):
             f"realization (t_rec / sample_dt)"
         )
     times = sample_dt * np.arange(n_samples)
-    cos_c = np.stack([m.amplitudes * np.cos(m.phases) for m in sets], axis=1)
-    sin_c = np.stack([-m.amplitudes * np.sin(m.phases) for m in sets], axis=1)
-    series = zpf.mode_sum(sets[0].omegas, cos_c, sin_c, times)
+    series = zpf.mode_sum(*zpf.drive_coefficients(sets), times)
 
     psd_sum = None
     parseval_errs = []

@@ -140,6 +140,31 @@ def synthesize_band(spec: SpectrumModel, n_modes: int, seed: int) -> ModeSet:
     return ModeSet(omegas=omegas, amplitudes=amplitudes, phases=phases, seed=int(seed))
 
 
+def drive_coefficients(mode_sets: Sequence[ModeSet], epsilon: float = 0.0
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared frequencies and ``mode_sum`` coefficients of E + eps*E'.
+
+    Returns ``(omegas, cos_coeff, sin_coeff)`` with coefficients of shape
+    (K, R), one column per mode set; all mode sets must share their
+    frequencies. Each mode of E + eps*E' is one cosine,
+    A sqrt(1 + (eps w)^2) cos(w t + phi + atan(eps w)); at eps = 0 the
+    coefficients are exactly A cos(phi) and -A sin(phi).
+    """
+    if not mode_sets:
+        raise ValueError("at least one mode set is required")
+    omegas = mode_sets[0].omegas
+    for ms in mode_sets[1:]:
+        if not np.array_equal(ms.omegas, omegas):
+            raise ValueError("all mode sets must share the same mode frequencies")
+    boost = np.sqrt(1.0 + (epsilon * omegas) ** 2)
+    delta = np.arctan(epsilon * omegas)
+    cos_c = np.stack([ms.amplitudes * boost * np.cos(ms.phases + delta)
+                      for ms in mode_sets], axis=1)
+    sin_c = np.stack([-ms.amplitudes * boost * np.sin(ms.phases + delta)
+                      for ms in mode_sets], axis=1)
+    return omegas, cos_c, sin_c
+
+
 #: time samples per block of a mode sum; bounds its working memory
 _BLOCK = 8192
 #: largest deviation from an equally spaced grid, relative to the grid's
@@ -245,23 +270,6 @@ def vector_potential(ms: ModeSet, t) -> np.ndarray:
     # a = -sum (A/w) sin(w t + phi)
     out = mode_sum(ms.omegas, -aw * np.sin(ms.phases), -aw * np.cos(ms.phases), t_arr)
     return float(out[0]) if (np.isscalar(t) or np.ndim(t) == 0) else out
-
-
-class FieldRealization:
-    """A ModeSet bundled with its sample function, derivative and horizon."""
-
-    def __init__(self, modes: ModeSet):
-        self.modes = modes
-        self.t_rec = modes.t_rec
-
-    def __call__(self, t):
-        return evaluate_field(self.modes, t)
-
-    def derivative(self, t):
-        return evaluate_field(self.modes, t, also_derivative=True)[1]
-
-    def vector_potential(self, t):
-        return vector_potential(self.modes, t)
 
 
 def estimate_psd(values: Sequence[float], dt: float, segment_len: int,

@@ -16,7 +16,6 @@ from scipy import integrate
 from zitter import (
     DiracFreeParticle,
     FastMotionParams,
-    FieldRealization,
     analysis,
     child_seeds,
     codata,
@@ -111,8 +110,7 @@ def test_criterion_5_stationary_amplitude():
         assert err < 1e-8
         assert oracle == pytest.approx(0.5, rel=0.02)  # band carries ~99% of the line
 
-        drives = [FieldRealization(synthesize_band(spec, 2000, s))
-                  for s in child_seeds(20260823, 100)]
+        drives = [synthesize_band(spec, 2000, s) for s in child_seeds(20260823, 100)]
         t_max = 13.0 / eps
         trajs = dynamics.integrate_ensemble(eps, drives, DT, t_max)
         stats = analysis.ensemble_stationary_variance(trajs,

@@ -15,7 +15,7 @@ from zitter.dynamics import (
     integrate_ensemble,
     integrate_transient,
 )
-from zitter.zpf import FieldRealization, child_seeds, sed_drive_spectrum, synthesize_band
+from zitter.zpf import child_seeds, sed_drive_spectrum, synthesize_band
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 DT = 2.0 * math.pi / 200.0
@@ -140,9 +140,9 @@ class TestEnsembleStatistics:
         eps = 0.02
         spec = sed_drive_spectrum(eps)
         sets = [synthesize_band(spec, 128, seed=s) for s in (21, 22, 23)]
-        base = integrate_ensemble(eps, [FieldRealization(m) for m in sets], DT,
+        base = integrate_ensemble(eps, sets, DT,
                                   8.0 / eps)
-        loud = integrate_ensemble(eps, [FieldRealization(m.scaled(2.0)) for m in sets],
+        loud = integrate_ensemble(eps, [m.scaled(2.0) for m in sets],
                                   DT, 8.0 / eps)
         s_base = ensemble_stationary_variance(base, discard=0.3)
         s_loud = ensemble_stationary_variance(loud, discard=0.3)
@@ -155,8 +155,7 @@ class TestEnsembleStatistics:
         errs = []
         sizes = (8, 32, 128)
         for n in sizes:
-            drives = [FieldRealization(synthesize_band(spec, 256, s))
-                      for s in child_seeds(99, n)]
+            drives = [synthesize_band(spec, 256, s) for s in child_seeds(99, n)]
             trajs = integrate_ensemble(eps, drives, DT, 8.0 / eps)
             errs.append(ensemble_stationary_variance(trajs, discard=0.3).stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]

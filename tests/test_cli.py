@@ -187,8 +187,16 @@ class TestExitCodes:
         ({"scenario": "transient", "params": {"fit_window": ["a", 1]}}, "fit_window[0]"),
         # the default series holds 29,984 samples per realization
         ({"scenario": "psd-check", "params": {"segment_len": 100000}}, "segment_len"),
+        ({"scenario": "transient", "params": {"fit_window": [1, 1e9]}}, "fit_window"),
+        # no transient, so no zero crossings to fit
+        ({"scenario": "transient", "params": {"z0_re": 0, "z0_im": 0}}, "z0_re"),
+        # t_max 2672 passes t_rec 1555 of 100 modes
+        ({"scenario": "stationary", "params": {"n_modes": 100}}, "n_modes"),
+        ({"scenario": "dirac", "params": {"v0_over_c": 2}}, "v0_over_c"),
+        ({"scenario": "dirac", "params": {"energy_over_mc2": 0.5}}, "energy_over_mc2"),
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
-            "psd-segment-too-long"])
+            "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
+            "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy"])
     def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

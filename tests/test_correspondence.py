@@ -12,7 +12,7 @@ from zitter.dynamics import (
     integrate_transient,
     residual_force_ratio,
 )
-from zitter.zpf import FieldRealization, ModeSet, sed_drive_spectrum, synthesize_band
+from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 
@@ -42,13 +42,13 @@ class TestCanonicalMomentum:
         traj = Trajectory(times=t, z=np.real(gain * phase),
                           zdot=np.real(1j * w * gain * phase),
                           meta={"epsilon": eps, "dt": dt})
-        r = canonical_momentum_residual(traj, FieldRealization(ms), p0=0.0)
+        r = canonical_momentum_residual(traj, ms, p0=0.0)
         r -= r[0]  # p0 fixes only the constant offset
         assert np.max(np.abs(r)) < 1e-6
 
     def test_integrated_trajectory_residual_is_small(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        drive = FieldRealization(synthesize_band(spec, 400, seed=5))
+        drive = synthesize_band(spec, 400, seed=5)
         params = FastMotionParams(epsilon=EPS_CODATA, drive=drive,
                                   z0=0.0 + 0.0j, zdot0=0.0)
         dt = 2.0 * math.pi / 400.0
@@ -107,14 +107,14 @@ class TestResidualForceRatio:
             omega0=omega0,
             domain=(-1e-8, 1e-8),
         )
-        ratio = residual_force_ratio(fm, z_rms=dc.lambda_C_bar, fc=fc)
+        ratio = residual_force_ratio(fm, fc=fc)
         assert ratio == pytest.approx((omega0 / dc.omega_C) ** 2, rel=1e-10)
 
     def test_zero_force(self, fc, dc):
         fm = ExternalForceModel(f=lambda x: np.zeros_like(x),
                                 fprime=lambda x: np.zeros_like(x),
                                 omega0=0.0, domain=(0.0, 1.0))
-        assert residual_force_ratio(fm, z_rms=dc.lambda_C_bar, fc=fc) == 0.0
+        assert residual_force_ratio(fm, fc=fc) == 0.0
 
     def test_coulomb_at_bohr_radius(self, fc, dc):
         # |f'| = 2 e^2 / r^3 at r = a_B gives exactly 2 alpha^4
@@ -125,7 +125,7 @@ class TestResidualForceRatio:
             omega0=fc.e**2 / (fc.hbar * a_bohr),
             domain=(a_bohr, 2.0 * a_bohr),
         )
-        ratio = residual_force_ratio(fm, z_rms=dc.lambda_C_bar, fc=fc)
+        ratio = residual_force_ratio(fm, fc=fc)
         assert ratio == pytest.approx(2.0 * dc.alpha**4, rel=1e-10)
         assert ratio < 1e-8  # the neglected coupling is utterly negligible
 
@@ -133,4 +133,4 @@ class TestResidualForceRatio:
         fm = ExternalForceModel(f=lambda x: 1.0 / x, fprime=lambda x: -1.0 / x**2,
                                 omega0=1.0, domain=(0.0, 1.0))
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
-            residual_force_ratio(fm, z_rms=1.0, fc=fc)
+            residual_force_ratio(fm, fc=fc)

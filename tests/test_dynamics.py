@@ -14,7 +14,7 @@ from zitter.dynamics import (
     trajectory_to_csv,
     transient_envelope,
 )
-from zitter.zpf import FieldRealization, ModeSet, sed_drive_spectrum, synthesize_band
+from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 DT = 2.0 * math.pi / 200.0
@@ -112,10 +112,10 @@ class TestDrivenIntegration:
     def test_linearity_in_drive_amplitude(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_band(spec, 64, seed=3)
-        base = FastMotionParams(epsilon=EPS_CODATA, drive=FieldRealization(ms),
+        base = FastMotionParams(epsilon=EPS_CODATA, drive=ms,
                                 z0=0.0 + 0.0j, zdot0=0.0)
         double = FastMotionParams(epsilon=EPS_CODATA,
-                                  drive=FieldRealization(ms.scaled(2.0)),
+                                  drive=ms.scaled(2.0),
                                   z0=0.0 + 0.0j, zdot0=0.0)
         ta = integrate_transient(base, DT, 200.0)
         tb = integrate_transient(double, DT, 200.0)
@@ -132,7 +132,7 @@ class TestDrivenIntegration:
 
         def run(modes):
             params = FastMotionParams(epsilon=EPS_CODATA,
-                                      drive=FieldRealization(modes),
+                                      drive=modes,
                                       z0=0.0 + 0.0j, zdot0=0.0)
             return integrate_transient(params, DT, 150.0)
 
@@ -147,7 +147,7 @@ class TestDrivenIntegration:
         ms = ModeSet(omegas=np.array([1.0, 1.0 + 1e-4]),
                      amplitudes=np.array([amp, 0.0]),
                      phases=np.array([0.0, 0.0]), seed=0)
-        params = FastMotionParams(epsilon=eps, drive=FieldRealization(ms),
+        params = FastMotionParams(epsilon=eps, drive=ms,
                                   z0=0.0 + 0.0j, zdot0=0.0)
         traj = integrate_transient(params, DT, 12.0 / eps)
         tail = traj.z[traj.times > 10.0 / eps]
@@ -157,7 +157,7 @@ class TestDrivenIntegration:
     def test_horizon_guard(self):
         ms = ModeSet(omegas=np.array([1.0, 1.5]), amplitudes=np.array([1.0, 1.0]),
                      phases=np.array([0.0, 0.0]), seed=0)  # t_rec = 4*pi
-        params = FastMotionParams(epsilon=0.01, drive=FieldRealization(ms))
+        params = FastMotionParams(epsilon=0.01, drive=ms)
         with pytest.raises(ValueError, match="horizon"):
             integrate_transient(params, DT, 20.0)
 
@@ -165,7 +165,7 @@ class TestDrivenIntegration:
 class TestEnsemble:
     def test_matches_single_integration(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        drives = [FieldRealization(synthesize_band(spec, 64, seed=s))
+        drives = [synthesize_band(spec, 64, seed=s)
                   for s in (11, 12, 13)]
         trajs = integrate_ensemble(EPS_CODATA, drives, DT, 150.0)
         for drive, traj in zip(drives, trajs):
@@ -174,13 +174,14 @@ class TestEnsemble:
             single = integrate_transient(params, DT, 150.0)
             assert np.allclose(traj.z, single.z, atol=1e-12)
             assert np.allclose(traj.zdot, single.zdot, atol=1e-12)
-            assert traj.meta["seed"] == drive.modes.seed
+            assert traj.meta["seed"] == drive.seed
+            assert traj.z.base is trajs[0].z.base  # row views of one array, no copies
 
     def test_mismatched_frequencies_rejected(self):
         spec_a = sed_drive_spectrum(EPS_CODATA, band=(0.8, 1.2))
         spec_b = sed_drive_spectrum(EPS_CODATA, band=(0.7, 1.3))
-        drives = [FieldRealization(synthesize_band(spec_a, 32, seed=1)),
-                  FieldRealization(synthesize_band(spec_b, 32, seed=2))]
+        drives = [synthesize_band(spec_a, 32, seed=1),
+                  synthesize_band(spec_b, 32, seed=2)]
         with pytest.raises(ValueError, match="frequencies"):
             integrate_ensemble(EPS_CODATA, drives, DT, 50.0)
 
@@ -190,9 +191,79 @@ class TestEnsemble:
 
     def test_horizon_guard(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        drives = [FieldRealization(synthesize_band(spec, 16, seed=1))]
+        drives = [synthesize_band(spec, 16, seed=1)]
         with pytest.raises(ValueError, match="horizon"):
             integrate_ensemble(EPS_CODATA, drives, DT, 10.0 * drives[0].t_rec)
+
+
+def rk4_loop(epsilon, z0, v0, g, dt, n_steps):
+    """Textbook RK4 on x = (z, z'), one step at a time; g has shape (2n+1, R)."""
+    def deriv(x, gt):
+        return np.array([x[1], gt - x[0] - epsilon * x[1]])
+
+    x = np.array([np.full(g.shape[1], z0), np.full(g.shape[1], v0)])
+    out = [x]
+    for n in range(n_steps):
+        k1 = deriv(x, g[2 * n])
+        k2 = deriv(x + 0.5 * dt * k1, g[2 * n + 1])
+        k3 = deriv(x + 0.5 * dt * k2, g[2 * n + 1])
+        k4 = deriv(x + dt * k3, g[2 * n + 2])
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    out = np.array(out)  # (n+1, 2, R)
+    return out[:, 0].T, out[:, 1].T
+
+
+class TestIntegratorOracle:
+    """The filter-form integrator against code it shares nothing with."""
+
+    N_STEPS = 10_000
+
+    def test_forced_ensemble_matches_step_loop(self):
+        eps = 0.01
+        t_half = 0.5 * DT * np.arange(2 * self.N_STEPS + 1)
+        g = np.stack([a * np.cos(w * t_half + p) for a, w, p in
+                      [(0.01, 1.0, 0.0), (0.02, 0.93, 1.1), (0.005, 1.12, -2.0)]],
+                     axis=1)
+        zs, vs = dynamics._rk4(eps, 0.3, -0.2, g, DT, self.N_STEPS)
+        ref_z, ref_v = rk4_loop(eps, 0.3, -0.2, g, DT, self.N_STEPS)
+        assert zs.shape == (3, self.N_STEPS + 1)
+        assert np.max(np.abs(zs - ref_z)) <= 1e-10
+        assert np.max(np.abs(vs - ref_v)) <= 1e-10
+
+    def test_unforced_run_matches_step_loop(self):
+        params = FastMotionParams(epsilon=0.02, z0=0.3 - 0.2j)
+        traj = integrate_transient(params, DT, self.N_STEPS * DT)
+        ref_z, ref_v = rk4_loop(0.02, 0.6, params.initial_velocity,
+                                np.zeros((2 * self.N_STEPS + 1, 1)), DT, self.N_STEPS)
+        assert len(traj.z) == self.N_STEPS + 1
+        assert np.max(np.abs(traj.z - ref_z[0])) <= 1e-10
+        assert np.max(np.abs(traj.zdot - ref_v[0])) <= 1e-10
+
+    def test_single_mode_drive_converges_at_fourth_order(self):
+        # D = A cos(w t + phi): the exact response is Re[A H(w) e^{i(w t + phi)}],
+        # H(w) = (1 + i eps w)/(1 - w^2 + i eps w), plus the damped homogeneous
+        # solution that matches z(0) and z'(0)
+        eps, amp, w, phi, z0, v0, t_max = 0.01, 0.05, 0.9, 0.4, 0.3, -0.1, 50.0
+        ms = ModeSet(omegas=np.array([w, w + 1e-3]), amplitudes=np.array([amp, 0.0]),
+                     phases=np.array([phi, 0.0]), seed=0)
+        gain = amp * np.exp(1j * phi) * (1.0 + 1j * eps * w) / (1.0 - w**2 + 1j * eps * w)
+        wd = math.sqrt(1.0 - eps**2 / 4.0)
+        c1 = z0 - gain.real
+        c2 = (v0 - (1j * w * gain).real + 0.5 * eps * c1) / wd
+
+        def exact(t):
+            return ((gain * np.exp(1j * w * t)).real
+                    + np.exp(-0.5 * eps * t) * (c1 * np.cos(wd * t) + c2 * np.sin(wd * t)))
+
+        def max_err(h):
+            params = FastMotionParams(epsilon=eps, drive=ms, z0=0.5 * z0 + 0j, zdot0=v0)
+            traj = integrate_transient(params, h, t_max)
+            return np.max(np.abs(traj.z - exact(traj.times)))
+
+        h = 2.0 * math.pi / 50.0
+        ratio = max_err(h) / max_err(h / 2.0)
+        assert 13.0 < ratio < 19.0
 
 
 class TestGuards:
@@ -211,10 +282,12 @@ class TestGuards:
             FastMotionParams(epsilon=bad_eps)
 
     def test_instability_detector(self):
-        # the stability check flags any energy growth beyond 10x
-        growing = np.exp(np.linspace(0.0, 3.0, 100))
-        with pytest.raises(NumericalInstabilityError, match="10x"):
-            dynamics._check_unforced_stability(growing, np.zeros(100))
+        # dt = 3 lies outside RK4's stability region (|R(3i)| ~ 1.5): the
+        # one-step map is refused before any step, forced or not
+        with pytest.raises(NumericalInstabilityError, match="eigenvalue"):
+            dynamics._rk4(0.01, 1.0, 0.0, None, 3.0, 10)
+        with pytest.raises(NumericalInstabilityError, match="eigenvalue"):
+            dynamics._rk4(0.01, 1.0, 0.0, np.zeros((21, 3)), 3.0, 10)
 
 
 class TestTrajectory:

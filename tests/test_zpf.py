@@ -5,7 +5,6 @@ import pytest
 
 from zitter import zpf
 from zitter.zpf import (
-    FieldRealization,
     ModeSet,
     SpectrumModel,
     child_seeds,
@@ -125,8 +124,7 @@ class TestEvaluation:
             evaluate_field(ms, ms.t_rec)
         with pytest.raises(ValueError, match="t_rec"):
             evaluate_field(ms, -0.1)
-        realization = FieldRealization(ms)
-        assert realization.t_rec == pytest.approx(4.0 * math.pi)
+        assert ms.t_rec == pytest.approx(4.0 * math.pi)
 
     def test_parseval_large_modeset(self):
         spec = sed_drive_spectrum(EPS_CODATA)
