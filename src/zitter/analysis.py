@@ -36,6 +36,17 @@ class EnsembleStats:
     stderr: float    # standard error from between-realization scatter
 
 
+def min_fit_span(dt: float) -> float:
+    """Shortest window in which ``fit_decay_rate`` always finds two zero crossings.
+
+    That holds for the fast-motion carrier sampled every ``dt``: its zero
+    crossings are pi / w apart with w >= 0.998 for every admissible eps and
+    dt (damped frequency sqrt(1 - eps^2/4) > 0.9987, RK4 phase lag < 1e-5),
+    and the samples inside a window may start and end up to one step in.
+    """
+    return 2.0 * math.pi / 0.998 + 2.0 * dt
+
+
 def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFit:
     """Fit decay rate and carrier to a decaying oscillation inside ``window``."""
     t0, t1 = window

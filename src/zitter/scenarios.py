@@ -25,6 +25,11 @@ SCENARIO_NAMES = (
 
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
+#: most float64 values one array of a run may hold (400 MB); the largest at
+#: a default config is stationary's drive grid, 170,119 half steps x 100
+#: realizations = 1.7e7
+_MAX_VALUES = 5 * 10**7
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -227,6 +232,15 @@ def validate_config(raw: dict) -> Scenario:
     return Scenario(name=name, seed=seed, params=params)
 
 
+def _check_size(n_values: float, what: str) -> None:
+    """Refuse a run before it allocates an array of more than ``_MAX_VALUES``."""
+    if not n_values <= _MAX_VALUES:
+        raise ConfigError(
+            f"{what} would hold {n_values:.3g} values, over the limit of "
+            f"{_MAX_VALUES:.3g} ({8 * _MAX_VALUES // 10**6} MB) for one array"
+        )
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -331,8 +345,13 @@ def _run_transient(sc, out, fc, dc, params):
     t_max = params["t_max"] if params["t_max"] is not None else 6.0 / eps
     window = params["fit_window"] if params["fit_window"] is not None else [1.0 / eps, 6.0 / eps]
     params.update(epsilon=eps, t_max=t_max, fit_window=window)
+    _check_size(t_max / params["dt"], "the trajectory of t_max / dt steps")
     if window[1] > t_max:
         raise ConfigError(f"fit_window {window} must end by t_max {t_max:.6g}")
+    span = analysis.min_fit_span(params["dt"])
+    if window[1] - window[0] < span:
+        raise ConfigError(f"fit_window {window} must span at least {span:.6g} to hold "
+                          "the two zero crossings of the carrier that the fit needs")
     if params["z0_re"] == params["z0_im"] == 0.0:
         raise ConfigError("z0_re and z0_im are both 0: the transient is identically "
                           "zero and has no decay to fit")
@@ -366,6 +385,10 @@ def _run_stationary(sc, out, fc, dc, params):
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
     params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
+    _check_size((2.0 * t_max / params["dt"] + 1.0) * params["n_realizations"],
+                "the drive grid of 2 t_max / dt + 1 half steps x n_realizations")
+    _check_size(params["n_modes"] * params["n_realizations"],
+                "the mode coefficients, n_modes x n_realizations,")
     # the drive horizon check, made before the modes are synthesized
     lo, hi = params["band"]
     t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (hi - lo)
@@ -397,6 +420,7 @@ def _run_stationary(sc, out, fc, dc, params):
 
 
 def _run_dirac(sc, out, fc, dc, params):
+    _check_size(params["n_samples"], "the velocity series of n_samples")
     energy = params["energy_over_mc2"] * fc.m * fc.c**2
     dp = dynamics.DiracFreeParticle(E=energy, p=params["momentum"],
                                     v0=params["v0_over_c"] * fc.c, fc=fc)
@@ -423,6 +447,8 @@ def _run_dirac(sc, out, fc, dc, params):
 
 
 def _run_sweep(sc, out, fc, dc, params):
+    _check_size(6.0 / min(params["epsilons"]) / params["dt"],
+                "the trajectory of 6 / epsilon / dt steps at the smallest of epsilons")
     rows = []
     for eps in params["epsilons"]:
         fm = dynamics.FastMotionParams(epsilon=eps)
@@ -451,6 +477,12 @@ def _run_psd_check(sc, out, fc, dc, params):
     eps = params["epsilon"] if params["epsilon"] is not None else dc.epsilon
     params.update(epsilon=eps)
     band = (params["band"][0], params["band"][1])
+    t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (band[1] - band[0])
+    _check_size(t_rec / params["sample_dt"] * params["n_realizations"],
+                "the field series of t_rec / sample_dt samples x n_realizations, with "
+                "t_rec = 2 pi (n_modes - 1) / band width,")
+    _check_size(params["n_modes"] * params["n_realizations"],
+                "the mode coefficients, n_modes x n_realizations,")
     spectrum = zpf.sed_drive_spectrum(eps, band)
     seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
     sets = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]

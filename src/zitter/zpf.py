@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import signal
+# numpy 2 loads these submodules on first use; load them with the package
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .constants import FundamentalConstants, derive_constants
 
@@ -187,54 +189,82 @@ def _grid_step(x: np.ndarray) -> float | None:
     return step
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n; FFTs of such lengths are fastest."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def mode_sum(omegas: np.ndarray, cos_coeff: np.ndarray, sin_coeff: np.ndarray,
              times: np.ndarray) -> np.ndarray:
     """Evaluate sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)] on a set of times.
 
     ``cos_coeff``/``sin_coeff`` may be 1-D ``(K,)`` or 2-D ``(K, R)`` to
-    evaluate R realizations sharing the same frequencies in one pass.
+    evaluate R realizations sharing the same frequencies in one pass; the
+    result has shape ``(N,)`` or ``(N, R)`` and is stored realization-major,
+    so each column is contiguous.
 
     When both ``omegas`` (w_k = w_0 + k dw) and ``times`` are equally spaced
     grids, the sum is the real part of a chirp-z transform (Rabiner, Schafer
-    & Rader 1969; Bluestein 1970). On a block of times t_b + n h,
+    & Rader 1969). On a block of times t_b + n h,
 
         sum_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [c_k e^{i k dw t_b}] W^{kn},
         c_k = cc_k - i sc_k,   W = e^{+i dw h},
 
-    which costs O((m + K) log(m + K)) per block of m times instead of
-    O(m K). ``scipy.signal.ZoomFFT`` is used for the transform: it is the
-    chirp-z transform on the unit circle built from exact chirp phases,
-    where ``CZT`` raises a rounded W to powers up to (m + K)^2 / 2 and its
-    results drift by ~1e-9 relative. Blocks of at most ``_BLOCK`` times keep
-    the working memory at O((m + K) R).
+    and Bluestein's (1970) identity kn = (k^2 + n^2 - (n - k)^2) / 2 turns the
+    inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
+    ``numpy.fft`` at a 5-smooth length >= K + m - 1. That costs
+    O((m + K) log(m + K)) per block of m times instead of O(m K). The chirp
+    is built from exact phases pi scale j^2 / m with integer j^2, as in
+    ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
+    (m + K)^2 / 2 instead drifts by ~1e-9 relative. The transforms run over
+    the contiguous last axis of realization-major ``(R, K)`` coefficients, in
+    one reused buffer; blocks of at most ``_BLOCK`` times keep the working
+    memory at O((m + K) R).
 
     Any other input (a single time, an irregular grid) is summed directly as
     a blocked trig matrix product, O(N K); that needs no grid structure.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_times = len(times)
-    out = np.empty((n_times,) + cos_coeff.shape[1:])
+    n_modes = len(omegas)
+    out = np.empty(cos_coeff.shape[1:] + (n_times,))
     d_omega = _grid_step(omegas)
     h = _grid_step(times)
     if d_omega is None or h is None:
         for start in range(0, n_times, _BLOCK):
             theta = np.outer(times[start:start + _BLOCK], omegas)
-            out[start:start + len(theta)] = np.cos(theta) @ cos_coeff + np.sin(theta) @ sin_coeff
-        return out
+            out[..., start:start + len(theta)] = (np.cos(theta) @ cos_coeff
+                                                  + np.sin(theta) @ sin_coeff).T
+        return out.T
 
     n_blocks = -(-n_times // _BLOCK)
     m = -(-n_times // n_blocks)
-    # zoom over "frequencies" f_n = -n dw h at fs = 2 pi: X_n = sum_k x_k W^{kn}
-    transform = signal.ZoomFFT(len(omegas), (0.0, -m * d_omega * h), m, fs=2.0 * math.pi)
-    column = (-1,) + (1,) * (cos_coeff.ndim - 1)
-    c = cos_coeff - 1j * sin_coeff
-    k_dw = (d_omega * np.arange(len(omegas))).reshape(column)
+    n_fft = _fft_len(n_modes + m - 1)
+    # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
+    scale = -m * d_omega * h / (2.0 * math.pi)
+    chirp = np.exp(-1j * (math.pi * scale * np.arange(max(m, n_modes)) ** 2 / m))
+    kernel = np.fft.fft(1.0 / np.concatenate((chirp[n_modes - 1:0:-1], chirp[:m])), n_fft)
+    k_dw = d_omega * np.arange(n_modes)
+    c = np.ascontiguousarray((cos_coeff - 1j * sin_coeff).T)
+    buf = np.empty(c.shape[:-1] + (n_fft,), dtype=complex)
     for start in range(0, n_times, m):
         block = times[start:start + m]
-        y = transform(c * np.exp(1j * k_dw * block[0]), axis=0)[:len(block)]
-        carrier = np.exp(1j * omegas[0] * block).reshape(column)
-        out[start:start + len(block)] = (carrier * y).real
-    return out
+        buf[..., n_modes:] = 0.0
+        np.multiply(c, np.exp(1j * k_dw * block[0]) * chirp[:n_modes], out=buf[..., :n_modes])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= kernel
+        np.fft.ifft(buf, axis=-1, out=buf)
+        carrier = chirp[:len(block)] * np.exp(1j * omegas[0] * block)
+        out[..., start:start + len(block)] = (
+            buf[..., n_modes - 1:n_modes - 1 + len(block)] * carrier).real
+    return out.T
 
 
 def _check_horizon(ms: ModeSet, t: np.ndarray) -> None:
@@ -276,6 +306,9 @@ def estimate_psd(values: Sequence[float], dt: float, segment_len: int,
                  overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Averaged Hann-tapered periodogram, returned as a one-sided PSD in omega.
 
+    Welch's method (1967): segments of ``segment_len`` samples, each starting
+    ``segment_len - int(overlap * segment_len)`` samples after the last, are
+    tapered with the periodic Hann window and their periodograms averaged.
     The returned density satisfies integral(psd d_omega) ~= variance of the
     input (Parseval, within the taper's leakage).
     """
@@ -286,14 +319,15 @@ def estimate_psd(values: Sequence[float], dt: float, segment_len: int,
         raise ValueError(f"segment_len {segment_len} exceeds series length {values.size}")
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must lie in [0, 1), got {overlap}")
-    freqs, pxx = signal.welch(
-        values,
-        fs=1.0 / dt,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=int(overlap * segment_len),
-        detrend=False,
-    )
+    step = segment_len - int(overlap * segment_len)
+    # periodic Hann window, no detrending, density scaling 1 / (fs sum w^2)
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi / segment_len * np.arange(segment_len))
+    segments = np.lib.stride_tricks.sliding_window_view(values, segment_len)[::step]
+    power = np.abs(np.fft.rfft(segments * window, axis=-1)) ** 2
+    pxx = power.mean(axis=0) * (dt / np.sum(window**2))
+    # one-sided: double every bin but DC and, for an even length, Nyquist
+    pxx[1:(segment_len + 1) // 2] *= 2.0
+    freqs = np.fft.rfftfreq(segment_len, dt)
     return 2.0 * math.pi * freqs, pxx / (2.0 * math.pi)
 
 

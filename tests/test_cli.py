@@ -194,16 +194,45 @@ class TestExitCodes:
         ({"scenario": "stationary", "params": {"n_modes": 100}}, "n_modes"),
         ({"scenario": "dirac", "params": {"v0_over_c": 2}}, "v0_over_c"),
         ({"scenario": "dirac", "params": {"energy_over_mc2": 0.5}}, "energy_over_mc2"),
+        # under one carrier period: too few zero crossings to fit
+        ({"scenario": "transient", "params": {"fit_window": [1, 2]}}, "fit_window"),
+        # run sizes past the one-array budget: 3.2e13 steps, 1.7e13 and 1.2e10 values
+        ({"scenario": "transient", "params": {"t_max": 1e12}}, "t_max"),
+        ({"scenario": "stationary", "params": {"n_realizations": 100_000_000}},
+         "n_realizations"),
+        ({"scenario": "psd-check", "params": {"n_modes": 100_000_000}}, "n_modes"),
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
             "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
-            "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy"])
+            "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy",
+            "transient-window-too-short", "transient-too-many-steps",
+            "stationary-too-many-realizations", "psd-too-many-modes"])
     def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err
+        # refused before anything is written
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "stationary"},
+        json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                    / "stationary.json").read_text()),
+    ], ids=["default", "perfbench"])
+    def test_size_limit_admits_stationary(self, tmp_path, monkeypatch, config):
+        # every check runs before the modes are synthesized; stop the run there
+        class Admitted(Exception):
+            pass
+
+        def stop(*args):
+            raise Admitted
+
+        monkeypatch.setattr("zitter.zpf.synthesize_band", stop)
+        with pytest.raises(Admitted):
+            run_scenario(validate_config(config), str(tmp_path))
 
     def test_missing_scenario_returns_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
@@ -218,6 +247,35 @@ class TestExitCodes:
         manifest = read_json(out / "manifest.json")
         assert manifest["scenario"] == "constants"
         assert manifest["seed"] == 9
+
+    def test_cli_path_imports_no_scipy_signal(self, tmp_path):
+        # scipy.signal drags in scipy.stats, .optimize and .interpolate, ~1.3 s
+        # of import; the scenarios a CLI run reaches need numpy alone
+        import subprocess
+        import sys
+
+        repo = Path(__file__).resolve().parents[1]
+        config = tmp_path / "stationary.json"
+        config.write_text(json.dumps({"scenario": "stationary", "params": {
+            "n_modes": 200, "n_realizations": 4, "t_max": 300.0, "discard_time": 100.0}}))
+        runs = [["run", "--scenario", "transient", "--out", str(tmp_path / "transient")],
+                ["run", "--scenario", "sweep-epsilon", "--out", str(tmp_path / "sweep")],
+                ["run", "--config", str(config), "--out", str(tmp_path / "stationary")],
+                ["run", "--scenario", "psd-check", "--out", str(tmp_path / "psd")]]
+        code = ("import json, sys\n"
+                "from zitter import cli\n"
+                f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+                "print(json.dumps([codes, sorted(sys.modules)]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        codes, modules = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        heavy = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+        assert [m for m in modules if ".".join(m.split(".")[:2]) in heavy] == []
 
     def test_console_script_installed(self, tmp_path):
         # The console script an install would generate: pyproject.toml must

@@ -219,17 +219,26 @@ class TestIntegratorOracle:
 
     N_STEPS = 10_000
 
-    def test_forced_ensemble_matches_step_loop(self):
-        eps = 0.01
-        t_half = 0.5 * DT * np.arange(2 * self.N_STEPS + 1)
+    @staticmethod
+    def check_forced(eps, dt, n_steps):
+        # several blocks of the integrator, the last one partial
+        assert n_steps > 1024 and n_steps % dynamics._SUB != 0
+        t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
         g = np.stack([a * np.cos(w * t_half + p) for a, w, p in
                       [(0.01, 1.0, 0.0), (0.02, 0.93, 1.1), (0.005, 1.12, -2.0)]],
                      axis=1)
-        zs, vs = dynamics._rk4(eps, 0.3, -0.2, g, DT, self.N_STEPS)
-        ref_z, ref_v = rk4_loop(eps, 0.3, -0.2, g, DT, self.N_STEPS)
-        assert zs.shape == (3, self.N_STEPS + 1)
+        zs, vs = dynamics._rk4(eps, 0.3, -0.2, g, dt, n_steps)
+        ref_z, ref_v = rk4_loop(eps, 0.3, -0.2, g, dt, n_steps)
+        assert zs.shape == (3, n_steps + 1)
         assert np.max(np.abs(zs - ref_z)) <= 1e-10
         assert np.max(np.abs(vs - ref_v)) <= 1e-10
+
+    def test_forced_ensemble_matches_step_loop(self):
+        self.check_forced(0.01, DT, self.N_STEPS)
+
+    def test_forced_run_at_largest_step_and_damping(self):
+        # eps near 0.1 and dt = MAX_DT: |lam|^-j grows fastest inside a block
+        self.check_forced(0.099, MAX_DT, 1337)
 
     def test_unforced_run_matches_step_loop(self):
         params = FastMotionParams(epsilon=0.02, z0=0.3 - 0.2j)

@@ -222,6 +222,21 @@ class TestPsdEstimation:
         rel_dev = acc[sel] / spec.psd(omega[sel]) - 1.0
         assert np.sqrt(np.mean(rel_dev**2)) < 0.05
 
+    @pytest.mark.parametrize("segment_len", [256, 257])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    def test_matches_scipy_welch(self, segment_len, overlap):
+        # the reference Welch estimator: periodic Hann, no detrend, density
+        from scipy import signal
+
+        dt = 0.37
+        x = np.random.default_rng(5).standard_normal(3001) + 0.2
+        freqs, pxx = signal.welch(x, fs=1.0 / dt, window="hann", nperseg=segment_len,
+                                  noverlap=int(overlap * segment_len), detrend=False)
+        omega, psd = estimate_psd(x, dt, segment_len, overlap)
+        assert len(omega) == len(freqs)
+        assert np.max(np.abs(omega - 2.0 * math.pi * freqs)) <= 1e-12 * omega[-1]
+        assert np.max(np.abs(psd * 2.0 * math.pi / pxx - 1.0)) <= 1e-12
+
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_psd(np.array([]), 0.1, 16)
