@@ -22,17 +22,14 @@ from .constants import (
 from .dynamics import (
     CharacteristicRoots,
     DiracFreeParticle,
-    ExternalForceModel,
     FastMotionParams,
     Trajectory,
     canonical_momentum_residual,
     characteristic_roots,
-    decompose_slow_fast,
     dirac_position_amplitude,
     dirac_velocity,
     integrate_ensemble,
     integrate_transient,
-    residual_force_ratio,
     transient_envelope,
 )
 from .errors import ConfigError, NumericalInstabilityError
@@ -41,11 +38,8 @@ from .zpf import (
     SpectrumModel,
     child_seeds,
     estimate_psd,
-    evaluate_field,
     sed_drive_spectrum,
-    sed_field_spectrum,
     synthesize_band,
-    to_sim_drive,
 )
 
 __version__ = "0.1.0"

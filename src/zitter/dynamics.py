@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -322,7 +322,9 @@ def dirac_velocity(dp: DiracFreeParticle, t):
 
 def dirac_position_amplitude(dp: DiracFreeParticle) -> float:
     """Amplitude of the rapid position oscillation, |p - (E/c^2) v0| hbar c^2 / (2 E^2)."""
-    return abs(dp.p - dp.E / dp.fc.c**2 * dp.v0) * dp.fc.hbar * dp.fc.c**2 / (2.0 * dp.E**2)
+    # divided by 2E and then by E: E**2 overflows for E past ~1e154 erg
+    return (abs(dp.p - dp.E / dp.fc.c**2 * dp.v0) * dp.fc.hbar / (2.0 * dp.E)
+            * dp.fc.c**2 / dp.E)
 
 
 # ---------------------------------------------------------------------------
@@ -357,52 +359,6 @@ def canonical_momentum_residual(traj: Trajectory, drive: ModeSet | None,
     else:
         p = np.full_like(t, p0)
     return traj.zdot - p - eps * acc + a
-
-
-# ---------------------------------------------------------------------------
-# slow/fast decomposition and the neglected coupling term
-
-def decompose_slow_fast(values: Sequence[float], dt: float, split_freq: float,
-                        order: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-phase complementary low/high split; slow + fast == input exactly."""
-    from scipy import signal  # the only scipy use; no scenario calls this
-
-    values = np.asarray(values, dtype=float)
-    nyquist = math.pi / dt
-    if not 0.0 < split_freq < nyquist:
-        raise ValueError(
-            f"split frequency must lie in (0, nyquist={nyquist:.6g}), got {split_freq}"
-        )
-    sos = signal.butter(order, split_freq, btype="low", fs=2.0 * math.pi / dt,
-                        output="sos")
-    slow = signal.sosfiltfilt(sos, values)
-    return slow, values - slow
-
-
-@dataclass(frozen=True)
-class ExternalForceModel:
-    """A slow external force f(x) with derivative, scale frequency and domain."""
-
-    f: Callable[[np.ndarray], np.ndarray]
-    fprime: Callable[[np.ndarray], np.ndarray]
-    omega0: float
-    domain: tuple[float, float]
-
-
-def residual_force_ratio(fm: ExternalForceModel, fc: FundamentalConstants,
-                         n_grid: int = 512) -> float:
-    """max |f'(x)| / (m omega_C^2) over the domain.
-
-    This is the factor by which the slow-force coupling z*f'(x) is smaller
-    than the Compton restoring force on the same displacement; the
-    displacement itself cancels from the ratio.
-    """
-    x = np.linspace(fm.domain[0], fm.domain[1], n_grid)
-    fp = np.abs(np.asarray(fm.fprime(x), dtype=float))
-    if not np.all(np.isfinite(fp)):
-        raise ValueError("f' must be finite on the stated domain")
-    omega_c = fc.m * fc.c**2 / fc.hbar
-    return float(np.max(fp) / (fc.m * omega_c**2))
 
 
 # ---------------------------------------------------------------------------

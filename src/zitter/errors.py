@@ -6,4 +6,5 @@ class ConfigError(ValueError):
 
 
 class NumericalInstabilityError(RuntimeError):
-    """An integration cannot be stable: its one-step map has an eigenvalue |lam| >= 1."""
+    """A run cannot give finite results: an integration's one-step map has an
+    eigenvalue |lam| >= 1, or a JSON output would hold a NaN or infinity."""

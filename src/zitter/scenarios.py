@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, constants, dynamics, zpf
-from .errors import ConfigError
+from .errors import ConfigError, NumericalInstabilityError
 
 SCENARIO_NAMES = (
     "constants", "roots", "transient", "stationary", "dirac",
@@ -49,8 +49,9 @@ def _positive(key, value):
 
 def _epsilon(key, value):
     v = _positive(key, value)
-    if not v < 0.1:
-        raise ConfigError(f"{key} must lie in (0, 0.1) (perturbative guard), got {value!r}")
+    # characteristic_roots cannot classify the cubic's roots below ~7e-24
+    if not 1e-20 <= v < 0.1:
+        raise ConfigError(f"{key} must lie in [1e-20, 0.1) (perturbative guard), got {value!r}")
     return v
 
 
@@ -245,9 +246,14 @@ def _check_size(n_values: float, what: str) -> None:
 # output helpers
 
 def _write_json(path: str, obj) -> None:
+    """Write strict JSON; a NaN or infinite value is a numerical failure."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalInstabilityError(
+            f"{os.path.basename(path)} would hold a non-finite value: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -357,6 +363,9 @@ def _run_transient(sc, out, fc, dc, params):
                           "zero and has no decay to fit")
     fm = dynamics.FastMotionParams(epsilon=eps,
                                    z0=complex(params["z0_re"], params["z0_im"]))
+    if not (math.isfinite(fm.initial_position) and math.isfinite(fm.initial_velocity)):
+        raise ConfigError(f"z0_re and z0_im give a non-finite initial state, z = "
+                          f"{fm.initial_position!r} and zdot = {fm.initial_velocity!r}")
     traj = dynamics.integrate_transient(fm, params["dt"], t_max)
     dynamics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     _write_json(os.path.join(out, "trajectory_meta.json"), _sidecar(traj, dc))
@@ -477,8 +486,18 @@ def _run_psd_check(sc, out, fc, dc, params):
     eps = params["epsilon"] if params["epsilon"] is not None else dc.epsilon
     params.update(epsilon=eps)
     band = (params["band"][0], params["band"][1])
+    sample_dt = params["sample_dt"]
+    if sample_dt > math.pi / band[1]:
+        raise ConfigError(f"sample_dt {sample_dt!r} puts the Nyquist frequency pi / sample_dt "
+                          f"under the band's upper edge {band[1]!r}; the PSD would alias")
+    # the deviation is measured on the Welch bins k d_omega at least 4 bins inside the band
+    bin_width = 2.0 * math.pi / (params["segment_len"] * sample_dt)
+    if math.floor(band[1] / bin_width) - math.ceil(band[0] / bin_width) < 8:
+        raise ConfigError(f"no Welch bin of width 2 pi / (segment_len sample_dt) = "
+                          f"{bin_width:.6g} lies 4 bins inside the band {list(band)}; "
+                          "raise segment_len")
     t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (band[1] - band[0])
-    _check_size(t_rec / params["sample_dt"] * params["n_realizations"],
+    _check_size(t_rec / sample_dt * params["n_realizations"],
                 "the field series of t_rec / sample_dt samples x n_realizations, with "
                 "t_rec = 2 pi (n_modes - 1) / band width,")
     _check_size(params["n_modes"] * params["n_realizations"],
@@ -486,7 +505,6 @@ def _run_psd_check(sc, out, fc, dc, params):
     spectrum = zpf.sed_drive_spectrum(eps, band)
     seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
     sets = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
-    sample_dt = params["sample_dt"]
     n_samples = int(sets[0].t_rec / sample_dt)
     if params["segment_len"] > n_samples:
         raise ConfigError(
@@ -507,8 +525,7 @@ def _run_psd_check(sc, out, fc, dc, params):
     psd_mean = psd_sum / len(sets)
     zpf.psd_to_csv(omega, psd_mean, os.path.join(out, "psd.csv"))
 
-    bin_width = omega[1] - omega[0]
-    margin = 4.0 * bin_width
+    margin = 4.0 * (omega[1] - omega[0])
     in_band = (omega >= band[0] + margin) & (omega <= band[1] - margin)
     target = spectrum.psd(omega[in_band])
     rel_dev = psd_mean[in_band] / target - 1.0

@@ -20,9 +20,6 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .constants import FundamentalConstants, derive_constants
-
-MODESET_CSV_HEADER = "omega_rad_per_s,amplitude,phase"
 PSD_CSV_HEADER = "omega,psd"
 
 
@@ -42,27 +39,14 @@ class SpectrumModel:
             )
 
 
-def sed_field_spectrum(fc: FundamentalConstants,
-                       band: tuple[float, float] = (0.8, 1.2)) -> SpectrumModel:
-    """Zero-point spectrum of one field component, S_E = 2 hbar w^3 / (3 pi c^3).
-
-    Physical (Gaussian) units; ``band`` is given in units of the Compton
-    frequency.
-    """
-    dc = derive_constants(fc)
-
-    def psd(omega: np.ndarray) -> np.ndarray:
-        return 2.0 * fc.hbar * np.asarray(omega) ** 3 / (3.0 * math.pi * fc.c**3)
-
-    return SpectrumModel(psd=psd, band_lo=band[0] * dc.omega_C, band_hi=band[1] * dc.omega_C)
-
-
 def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -> SpectrumModel:
     """Zero-point drive spectrum in simulation units: S(W) = epsilon W^3 / pi.
 
-    This is the image of the physical zero-point field spectrum under the
-    scaling that brings the fast-motion equation to dimensionless form; its
-    Lorentzian response integral gives a stationary position variance of 1/2.
+    This is the image of the physical zero-point field spectrum
+    S_E(w) = 2 hbar w^3 / (3 pi c^3) under the scaling that brings the
+    fast-motion equation to dimensionless form, S(W) = g^2 S_E(omega_C W) omega_C
+    with drive gain g = e / (m omega_C^2 lambda_bar_C); its Lorentzian
+    response integral gives a stationary position variance of 1/2.
     """
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -100,26 +84,14 @@ class ModeSet:
         """Recurrence time 2*pi/d_omega; statistics are invalid beyond it."""
         return 2.0 * math.pi / self.delta_omega
 
-    def scaled(self, amplitude_factor: float, frequency_factor: float = 1.0) -> "ModeSet":
-        """Same realization with amplitudes and frequencies rescaled (unit changes)."""
+    def scaled(self, amplitude_factor: float) -> "ModeSet":
+        """Same realization with every amplitude multiplied by ``amplitude_factor``."""
         return ModeSet(
-            omegas=self.omegas * frequency_factor,
+            omegas=self.omegas,
             amplitudes=self.amplitudes * amplitude_factor,
             phases=self.phases,
             seed=self.seed,
         )
-
-
-def to_sim_drive(ms: ModeSet, fc: FundamentalConstants) -> ModeSet:
-    """Rescale a physical-unit field realization to the dimensionless drive.
-
-    The fast-motion drive term is e*E/(m*omega_C^2*lambda_C_bar) evaluated at
-    t_sim/omega_C, so amplitudes pick up that gain and frequencies are
-    measured in omega_C.
-    """
-    dc = derive_constants(fc)
-    gain = fc.e / (fc.m * dc.omega_C**2 * dc.lambda_C_bar)
-    return ms.scaled(amplitude_factor=gain, frequency_factor=1.0 / dc.omega_C)
 
 
 def child_seeds(master_seed: int, n: int) -> list[int]:
@@ -275,23 +247,6 @@ def _check_horizon(ms: ModeSet, t: np.ndarray) -> None:
         )
 
 
-def evaluate_field(ms: ModeSet, t, also_derivative: bool = False):
-    """Exact trigonometric sum E(t), optionally with its term-by-term derivative."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_horizon(ms, t_arr)
-    cos_phi = np.cos(ms.phases)
-    sin_phi = np.sin(ms.phases)
-    e = mode_sum(ms.omegas, ms.amplitudes * cos_phi, -ms.amplitudes * sin_phi, t_arr)
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    if not also_derivative:
-        return float(e[0]) if scalar else e
-    aw = ms.amplitudes * ms.omegas
-    edot = mode_sum(ms.omegas, -aw * sin_phi, -aw * cos_phi, t_arr)
-    if scalar:
-        return float(e[0]), float(edot[0])
-    return e, edot
-
-
 def vector_potential(ms: ModeSet, t) -> np.ndarray:
     """Antiderivative a(t) with E = -da/dt, term-by-term (zero mean choice)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -329,18 +284,6 @@ def estimate_psd(values: Sequence[float], dt: float, segment_len: int,
     pxx[1:(segment_len + 1) // 2] *= 2.0
     freqs = np.fft.rfftfreq(segment_len, dt)
     return 2.0 * math.pi * freqs, pxx / (2.0 * math.pi)
-
-
-def modeset_to_csv(ms: ModeSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODESET_CSV_HEADER + "\n")
-        for w, a, p in zip(ms.omegas, ms.amplitudes, ms.phases):
-            fh.write(f"{float(w)!r},{float(a)!r},{float(p)!r}\n")
-
-
-def modeset_from_csv(path: str, seed: int = 0) -> ModeSet:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ModeSet(omegas=data[:, 0], amplitudes=data[:, 1], phases=data[:, 2], seed=seed)
 
 
 def psd_to_csv(omega: np.ndarray, psd: np.ndarray, path: str) -> None:

@@ -201,11 +201,24 @@ class TestExitCodes:
         ({"scenario": "stationary", "params": {"n_realizations": 100_000_000}},
          "n_realizations"),
         ({"scenario": "psd-check", "params": {"n_modes": 100_000_000}}, "n_modes"),
+        # the Nyquist frequency pi / sample_dt must reach the band's edge 1.2
+        ({"scenario": "psd-check", "params": {"sample_dt": 2.7}}, "sample_dt"),
+        ({"scenario": "psd-check", "params": {"sample_dt": 3.0}}, "sample_dt"),
+        ({"scenario": "psd-check", "params": {"sample_dt": 5.0}}, "sample_dt"),
+        # Welch bins 0.375 wide: none lies 4 bins inside [0.8, 1.2]
+        ({"scenario": "psd-check", "params": {"segment_len": 16}}, "segment_len"),
+        ({"scenario": "roots", "params": {"epsilons": [1e-50]}}, "epsilons[0]"),
+        # 2 Re z0 and -eps Re z0 - 2 Im z0 overflow to infinity
+        ({"scenario": "transient", "params": {"z0_im": 1e308}}, "z0_im"),
+        ({"scenario": "transient", "params": {"z0_re": 9e307}}, "z0_re"),
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
             "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
             "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy",
             "transient-window-too-short", "transient-too-many-steps",
-            "stationary-too-many-realizations", "psd-too-many-modes"])
+            "stationary-too-many-realizations", "psd-too-many-modes",
+            "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
+            "roots-epsilon-too-small", "transient-infinite-velocity",
+            "transient-infinite-position"])
     def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -216,6 +229,34 @@ class TestExitCodes:
         assert key in err
         # refused before anything is written
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_output_returns_3(self, tmp_path, capsys):
+        # the mean velocity c^2 p / E overflows; strict JSON refuses the Infinity
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "dirac", "params": {"momentum": 1e300}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure")
+        assert "dirac.json" in err
+        assert not (out / "dirac.json").exists()
+
+    def test_extreme_admissible_configs_run(self, tmp_path):
+        # the smallest epsilon the cubic still resolves
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps({"scenario": "roots", "params": {"epsilons": [1e-20]}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "roots")]) == 0
+        record = read_json(tmp_path / "roots" / "roots.json")["roots"][0]
+        assert record["vieta_max_rel_residual"] < 1e-9
+        # E^2 overflows at 1e200 m c^2; at rest the amplitude is lambda_bar_C mc^2 / 2E
+        path = tmp_path / "dirac.json"
+        path.write_text(json.dumps({"scenario": "dirac",
+                                    "params": {"energy_over_mc2": 1e200}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "dirac")]) == 0
+        payload = read_json(tmp_path / "dirac" / "dirac.json")
+        assert payload["position_amplitude_over_lambda_C_bar"] == pytest.approx(
+            0.5e-200, rel=1e-12)
 
     @pytest.mark.parametrize("config", [
         {"scenario": "stationary"},

@@ -1,16 +1,12 @@
 import math
 
 import numpy as np
-import pytest
 
 from zitter.dynamics import (
-    ExternalForceModel,
     FastMotionParams,
     Trajectory,
     canonical_momentum_residual,
-    decompose_slow_fast,
     integrate_transient,
-    residual_force_ratio,
 )
 from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
 
@@ -65,72 +61,3 @@ class TestCanonicalMomentum:
         r_meta = canonical_momentum_residual(traj, None, p0=0.0)
         r_override = canonical_momentum_residual(traj, None, p0=0.0, epsilon=0.01)
         assert not np.allclose(r_meta, r_override)
-
-
-class TestSlowFastDecomposition:
-    def test_complementarity_is_exact(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(4096)
-        slow, fast = decompose_slow_fast(x, dt=0.1, split_freq=3.0)
-        assert np.max(np.abs(slow + fast - x)) < 1e-12
-
-    def test_recovers_well_separated_components(self):
-        dt = 0.05
-        t = dt * np.arange(20000)
-        slow_true = 0.7 * np.cos(0.01 * t + 0.2)
-        fast_true = 0.3 * np.cos(1.0 * t + 1.1)
-        slow, fast = decompose_slow_fast(slow_true + fast_true, dt, split_freq=0.1)
-        keep = slice(2000, -2000)  # zero-phase filter still has edge transients
-        assert np.max(np.abs(slow[keep] - slow_true[keep])) < 5e-3
-        assert np.max(np.abs(fast[keep] - fast_true[keep])) < 5e-3
-
-    def test_dc_signal_is_all_slow(self):
-        x = np.full(1024, 2.5)
-        slow, fast = decompose_slow_fast(x, dt=0.1, split_freq=1.0)
-        assert np.allclose(slow, 2.5, rtol=1e-9)
-        assert np.max(np.abs(fast)) < 1e-9
-
-    def test_split_frequency_guard(self):
-        x = np.zeros(64)
-        with pytest.raises(ValueError, match="nyquist"):
-            decompose_slow_fast(x, dt=0.1, split_freq=100.0)
-        with pytest.raises(ValueError, match="split"):
-            decompose_slow_fast(x, dt=0.1, split_freq=0.0)
-
-
-class TestResidualForceRatio:
-    def test_harmonic_force(self, fc, dc):
-        omega0 = 1e16  # rad/s, optical scale
-        fm = ExternalForceModel(
-            f=lambda x: -fc.m * omega0**2 * x,
-            fprime=lambda x: -fc.m * omega0**2 * np.ones_like(x),
-            omega0=omega0,
-            domain=(-1e-8, 1e-8),
-        )
-        ratio = residual_force_ratio(fm, fc=fc)
-        assert ratio == pytest.approx((omega0 / dc.omega_C) ** 2, rel=1e-10)
-
-    def test_zero_force(self, fc, dc):
-        fm = ExternalForceModel(f=lambda x: np.zeros_like(x),
-                                fprime=lambda x: np.zeros_like(x),
-                                omega0=0.0, domain=(0.0, 1.0))
-        assert residual_force_ratio(fm, fc=fc) == 0.0
-
-    def test_coulomb_at_bohr_radius(self, fc, dc):
-        # |f'| = 2 e^2 / r^3 at r = a_B gives exactly 2 alpha^4
-        a_bohr = fc.hbar**2 / (fc.m * fc.e**2)
-        fm = ExternalForceModel(
-            f=lambda x: -fc.e**2 / x**2,
-            fprime=lambda x: 2.0 * fc.e**2 / x**3,
-            omega0=fc.e**2 / (fc.hbar * a_bohr),
-            domain=(a_bohr, 2.0 * a_bohr),
-        )
-        ratio = residual_force_ratio(fm, fc=fc)
-        assert ratio == pytest.approx(2.0 * dc.alpha**4, rel=1e-10)
-        assert ratio < 1e-8  # the neglected coupling is utterly negligible
-
-    def test_nonfinite_derivative_rejected(self, fc):
-        fm = ExternalForceModel(f=lambda x: 1.0 / x, fprime=lambda x: -1.0 / x**2,
-                                omega0=1.0, domain=(0.0, 1.0))
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
-            residual_force_ratio(fm, fc=fc)
