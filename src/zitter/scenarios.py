@@ -440,8 +440,6 @@ def _run_dirac(sc, out, fc, dc, params):
         (float(t), float(v.real), float(v.imag), float(abs(v) / fc.c))
         for t, v in zip(times, velocity)
     ]
-    _write_csv(os.path.join(out, "dirac.csv"),
-               "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c", rows)
     amplitude = dynamics.dirac_position_amplitude(dp)
     payload = {
         "oscillation_period_s": period,
@@ -451,7 +449,10 @@ def _run_dirac(sc, out, fc, dc, params):
         "max_abs_v_over_c": max(r[3] for r in rows),
         "min_abs_v_over_c": min(r[3] for r in rows),
     }
+    # the JSON goes first: a non-finite value refuses the run before the CSV is written
     _write_json(os.path.join(out, "dirac.json"), payload)
+    _write_csv(os.path.join(out, "dirac.csv"),
+               "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c", rows)
     return payload
 
 
@@ -490,11 +491,12 @@ def _run_psd_check(sc, out, fc, dc, params):
     if sample_dt > math.pi / band[1]:
         raise ConfigError(f"sample_dt {sample_dt!r} puts the Nyquist frequency pi / sample_dt "
                           f"under the band's upper edge {band[1]!r}; the PSD would alias")
-    # the deviation is measured on the Welch bins k d_omega at least 4 bins inside the band
+    # the deviation is measured on the Welch bins k d_omega margin_bins or more inside the band
+    margin_bins = 4
     bin_width = 2.0 * math.pi / (params["segment_len"] * sample_dt)
-    if math.floor(band[1] / bin_width) - math.ceil(band[0] / bin_width) < 8:
+    if math.floor(band[1] / bin_width) - math.ceil(band[0] / bin_width) < 2 * margin_bins:
         raise ConfigError(f"no Welch bin of width 2 pi / (segment_len sample_dt) = "
-                          f"{bin_width:.6g} lies 4 bins inside the band {list(band)}; "
+                          f"{bin_width:.6g} lies {margin_bins} bins inside the band {list(band)}; "
                           "raise segment_len")
     t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (band[1] - band[0])
     _check_size(t_rec / sample_dt * params["n_realizations"],
@@ -525,7 +527,7 @@ def _run_psd_check(sc, out, fc, dc, params):
     psd_mean = psd_sum / len(sets)
     zpf.psd_to_csv(omega, psd_mean, os.path.join(out, "psd.csv"))
 
-    margin = 4.0 * (omega[1] - omega[0])
+    margin = margin_bins * (omega[1] - omega[0])
     in_band = (omega >= band[0] + margin) & (omega <= band[1] - margin)
     target = spectrum.psd(omega[in_band])
     rel_dev = psd_mean[in_band] / target - 1.0

@@ -241,6 +241,7 @@ class TestExitCodes:
         assert err.startswith("numerical failure")
         assert "dirac.json" in err
         assert not (out / "dirac.json").exists()
+        assert not (out / "dirac.csv").exists()
 
     def test_extreme_admissible_configs_run(self, tmp_path):
         # the smallest epsilon the cubic still resolves
