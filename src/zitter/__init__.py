@@ -4,6 +4,7 @@ from .analysis import (
     EnsembleStats,
     TransientFit,
     ensemble_stationary_variance,
+    ensemble_stats,
     fit_decay_rate,
     oscillations_during_transition,
     transition_time_from_fit,
@@ -30,6 +31,8 @@ from .dynamics import (
     dirac_velocity,
     integrate_ensemble,
     integrate_transient,
+    rk4_transfer_max_rel_err,
+    stationary_mean_z2,
     transient_envelope,
 )
 from .errors import ConfigError, NumericalInstabilityError

@@ -95,25 +95,26 @@ def transition_time_from_fit(fit: TransientFit, dc: DerivedConstants) -> float:
     return 1.0 / (fit.decay_rate * dc.omega_C)
 
 
-def ensemble_stationary_variance(trajs: Sequence[Trajectory],
-                                 discard: float) -> EnsembleStats:
-    """Average z^2 over realizations after discarding the burn-in fraction."""
-    if len(trajs) < 2:
-        raise ValueError(f"need at least 2 realizations, got {len(trajs)}")
-    if not 0.0 <= discard < 1.0:
-        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
-    per_run = []
-    for traj in trajs:
-        start = int(discard * len(traj.z))
-        kept = traj.z[start:]
-        per_run.append(float(np.mean(kept**2)))
-    per_run = np.asarray(per_run)
+def ensemble_stats(per_run: Sequence[float]) -> EnsembleStats:
+    """Mean of the realizations' time-averaged z^2, with its standard error."""
+    per_run = np.asarray(per_run, dtype=float)
     n = len(per_run)
+    if n < 2:
+        raise ValueError(f"need at least 2 realizations, got {n}")
     return EnsembleStats(
         n_realizations=n,
         mean_z2=float(np.mean(per_run)),
         stderr=float(np.std(per_run, ddof=1) / math.sqrt(n)),
     )
+
+
+def ensemble_stationary_variance(trajs: Sequence[Trajectory],
+                                 discard: float) -> EnsembleStats:
+    """Average z^2 over realizations after discarding the burn-in fraction."""
+    if not 0.0 <= discard < 1.0:
+        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
+    return ensemble_stats([np.mean(traj.z[int(discard * len(traj.z)):] ** 2)
+                           for traj in trajs])
 
 
 def oscillations_during_transition(line_period: float, dc: DerivedConstants) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
+from .zpf import _BLOCK as _SUM_BLOCK
 from .zpf import ModeSet, drive_coefficients, mode_sum, vector_potential
 
 #: coarsest admissible step: 40 steps per carrier period
@@ -145,28 +146,15 @@ class Trajectory:
         return 0.5 * (self.zdot**2 + self.z**2)
 
 
-def _drive_grid(drives: Sequence[ModeSet], epsilon: float, dt: float,
-                n_steps: int) -> np.ndarray:
-    """Order-reduced forcing D + eps*D' of every drive on the half-step grid.
-
-    Returns shape (2n+1, R), one column per drive, from a single ``mode_sum``.
-    """
-    coefficients = drive_coefficients(drives, epsilon)
-    t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
-    if t_half[-1] >= drives[0].t_rec:
-        raise ValueError(
-            f"t_max={dt * n_steps:.6g} reaches the drive validity horizon "
-            f"t_rec={drives[0].t_rec:.6g}"
-        )
-    return mode_sum(*coefficients, t_half)
-
-
-#: steps per block of an unforced run, which is closed-form powers of lam
+#: steps per block of the closed-form free mode lam^j
 _BLOCK = 1024
-#: steps per block of a forced run: its (R, _SUB) working set stays in cache,
-#: and |lam^-j| stays below e^{0.1 * MAX_DT * _SUB / 2} ~ 2.7 since eps < 0.1
-#: and dt <= MAX_DT, so the rescaled drive terms keep the size of the plain ones
-_SUB = 128
+#: complex values in the chirp-z buffer of one block of ``stationary_mean_z2``
+#: (8 MB): a group of realizations against a time block of at most
+#: ``_SUM_BLOCK`` steps and at most as many modes
+_STREAM_BUDGET = 2**19
+#: realizations per group of ``stationary_mean_z2``; with the budget this
+#: bounds its working memory whatever the ensemble size
+_STREAM_GROUP = _STREAM_BUDGET // (2 * _SUM_BLOCK)
 
 
 def _rk4_step(eps, h, z, v, g0, gm, g1):
@@ -185,27 +173,17 @@ def _rk4_step(eps, h, z, v, g0, gm, g1):
             v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
-def _rk4(epsilon: float, z0: float, v0: float, g: np.ndarray | None, dt: float,
-         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 for z'' = -z - eps*z' + g(t); returns z and z' of shape (R, n+1).
-
-    ``g`` holds R forcings on the half-step grid, shape (2n+1, R); None is
-    one unforced run (g = 0). Every realization starts from (z0, v0).
+def _rk4_map(epsilon: float, dt: float) -> tuple[complex, np.ndarray, np.ndarray]:
+    """RK4's one-step map for z'' = -z - eps*z' + g(t), in its eigenbasis.
 
     The equation is linear with constant coefficients, so one RK4 step is
-    the exact affine map x_{n+1} = M x_n + N (g_2n, g_2n+1, g_2n+2) on
-    x = (z, z'), read off by stepping the 5x5 identity. M is real with the
-    conjugate eigenpair (lam, conj lam) for any stable dt <= MAX_DT, so
-    in its eigenbasis the recurrence is one complex first-order one,
-    y_{n+1} = lam y_n + u_n with u_n = w.(g_2n, g_2n+1, g_2n+2) and
-    w = (V^-1 N)[0], and x = 2 Re(V[:, 0] y). From the state s = lam y_b
-    at the start of a block,
-
-        y_{b+1+j} = lam^j (s + sum_{i<=j} lam^-i u_{b+i}),
-
-    a cumulative sum along the block; a Python loop carries s from block to
-    block, of ``_SUB`` steps each. An unforced run is the closed form
-    y_{b+1+j} = lam^j s, in blocks of ``_BLOCK`` steps.
+    the exact affine map x_{n+1} = M x_n + N (g(t_n), g(t_n + h/2), g(t_n + h))
+    on x = (z, z'), read off by stepping the 5x5 identity. M is real with the
+    conjugate eigenpair (lam, conj lam) for any stable dt <= MAX_DT, so in its
+    eigenbasis the step is one complex first-order recurrence,
+    y_{n+1} = lam y_n + w.(g(t_n), g(t_n + h/2), g(t_n + h)), and
+    x = 2 Re(vec y). Returns lam, vec and ``to_mode``, the mode's row of
+    V^-1 [M | N]: (to_mode[:2].x_n, to_mode[2:]) = (lam y_n, w).
     """
     z_row, v_row = _rk4_step(epsilon, dt, *np.eye(5))
     step = np.stack([z_row, v_row])  # [M | N]
@@ -215,33 +193,95 @@ def _rk4(epsilon: float, z0: float, v0: float, g: np.ndarray | None, dt: float,
             f"RK4 with dt={dt:.6g} is unstable for epsilon={epsilon:.6g}: the "
             f"one-step map has eigenvalue modulus {np.max(np.abs(lams)):.6g} >= 1"
         )
-    lam, vec = lams[0], vecs[:, 0]
-    to_mode = np.linalg.inv(vecs)[0] @ step
-    width = 1 if g is None else g.shape[1]
-    zs = np.empty((width, n_steps + 1))
+    return lams[0], vecs[:, 0], np.linalg.inv(vecs)[0] @ step
+
+
+def _free_modes(lam: complex, state: np.ndarray, n: int):
+    """Blocks (j, lam^j state ... ) covering j < n: the unforced mode in closed form.
+
+    ``state`` is a column, one mode value per realization; a block holds at
+    most ``_BLOCK`` steps, and lam times its last column starts the next.
+    """
+    powers = lam ** np.arange(_BLOCK)
+    for start in range(0, n, _BLOCK):
+        y = powers[:min(_BLOCK, n - start)] * state
+        state = lam * y[:, -1:]
+        yield start, y
+
+
+def _rk4(epsilon: float, z0: float, v0: float, dt: float,
+         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unforced RK4 from (z0, v0); returns z and z' of shape (1, n+1).
+
+    The recurrence without input is the closed form y_{n+1} = lam^n (lam y_0).
+    """
+    lam, vec, to_mode = _rk4_map(epsilon, dt)
+    zs = np.empty((1, n_steps + 1))
     vs = np.empty_like(zs)
     zs[:, 0], vs[:, 0] = z0, v0
     # the mode of M x_0, lam * y_0
-    state = np.full((width, 1), to_mode[0] * z0 + to_mode[1] * v0)
-    block = _BLOCK if g is None else _SUB
-    powers = lam ** np.arange(block)
-    if g is not None:
-        g = g.T  # realization-major: each block runs along a row
-        weights = to_mode[2:, None] * lam ** -np.arange(block)  # w lam^-j
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        k = stop - start
-        if g is None:
-            y = powers[:k] * state
-        else:
-            u = (weights[0, :k] * g[:, 2 * start:2 * stop:2]
-                 + weights[1, :k] * g[:, 2 * start + 1:2 * stop + 1:2]
-                 + weights[2, :k] * g[:, 2 * start + 2:2 * stop + 2:2])
-            y = powers[:k] * (state + np.cumsum(u, axis=1))
-        state = lam * y[:, -1:]
-        zs[:, start + 1:stop + 1] = 2.0 * (vec[0] * y).real
-        vs[:, start + 1:stop + 1] = 2.0 * (vec[1] * y).real
+    state = np.full((1, 1), to_mode[0] * z0 + to_mode[1] * v0)
+    for start, y in _free_modes(lam, state, n_steps):
+        zs[:, start + 1:start + 1 + y.shape[1]] = 2.0 * (vec[0] * y).real
+        vs[:, start + 1:start + 1 + y.shape[1]] = 2.0 * (vec[1] * y).real
     return zs, vs
+
+
+def _transfer(lam, vec, to_mode, dt, omegas):
+    """RK4's discrete transfer functions H_d(w) of z and z', shape (2, K), and P(+-w).
+
+    For the input g = e^{iwt} the mode's input is u_n = b(w) e^{iw t_n} with
+    b(w) = w0 + w1 e^{iwh/2} + w2 e^{iwh}, and its steady response is
+    P(w) e^{iw t_n}, P(w) = b(w) / (e^{iwh} - lam). The conjugate mode
+    answers with conj P(-w), so x_n = H_d(w) e^{iw t_n} with
+    H_d = vec P(w) + conj(vec P(-w)): the z-transform of RK4's stability map
+    (Hairer, Norsett & Wanner, Solving ODEs I).
+    """
+    def steady(w):
+        half = np.exp(0.5j * dt * w)
+        return (to_mode[2] + to_mode[3] * half + to_mode[4] * half**2) / (half**2 - lam)
+
+    p, p_neg = steady(omegas), steady(-omegas)
+    return vec[:, None] * p + np.conj(vec[:, None] * p_neg), p, p_neg
+
+
+class _DrivenRK4:
+    """RK4 of z'' = -z - eps*z' + D + eps*D' for mode-set drives, in closed form.
+
+    The equation is linear and time-invariant and the drive is a mode sum,
+    so RK4's x_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n},
+    one ``mode_sum`` over the step times, plus the free mode
+    2 Re(vec lam^n (y_0 - y_p(0))) that carries the initial state. Here
+    c_k = cc_k - i sc_k are the drive coefficients of D + eps*D' and y_p(0)
+    is the steady solution's mode at t = 0.
+    """
+
+    def __init__(self, epsilon: float, drives: Sequence[ModeSet], dt: float, t_max: float,
+                 z0: float, zdot0: float):
+        _check_epsilon(epsilon)
+        self.dt, self.n_steps = dt, _n_steps(dt, t_max)
+        self.lam, self.vec, to_mode = _rk4_map(epsilon, dt)
+        self.omegas, cos_c, sin_c = drive_coefficients(drives, epsilon)
+        if dt * self.n_steps >= drives[0].t_rec:
+            raise ValueError(
+                f"t_max={dt * self.n_steps:.6g} reaches the drive validity horizon "
+                f"t_rec={drives[0].t_rec:.6g}"
+            )
+        self.coeff = cos_c - 1j * sin_c  # (K, R)
+        self.transfer, p, p_neg = _transfer(self.lam, self.vec, to_mode, dt, self.omegas)
+        steady0 = 0.5 * (p @ self.coeff + p_neg @ np.conj(self.coeff))
+        # lam (y_0 - y_p(0)), the free mode one step on
+        self.free = (to_mode[0] * z0 + to_mode[1] * zdot0 - self.lam * steady0)[:, None]
+
+    def sample(self, row: int, first: int, stop: int, group: slice = slice(None)) -> np.ndarray:
+        """z (``row`` 0) or z' (1) at steps first..stop-1, one row per realization of ``group``."""
+        gain = self.coeff[:, group] * self.transfer[row][:, None]
+        out = mode_sum(self.omegas, gain.real, -gain.imag,
+                       self.dt * np.arange(first, stop)).T
+        state = self.free[group] * self.lam ** (first - 1)
+        for start, y in _free_modes(self.lam, state, stop - first):
+            out[:, start:start + y.shape[1]] += 2.0 * (self.vec[row] * y).real
+        return out
 
 
 def _n_steps(dt: float, t_max: float) -> int:
@@ -268,13 +308,13 @@ def _trajectories(zs: np.ndarray, vs: np.ndarray, dt: float, epsilon: float,
 
 def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Trajectory:
     """Integrate the order-reduced fast-motion equation with fixed-step RK4."""
+    if params.drive is not None:
+        return integrate_ensemble(params.epsilon, [params.drive], dt, t_max,
+                                  params.initial_position, params.initial_velocity)[0]
     n_steps = _n_steps(dt, t_max)
-    drive = params.drive
-    g = None if drive is None else _drive_grid([drive], params.epsilon, dt, n_steps)
     zs, vs = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
-                  g, dt, n_steps)
-    return _trajectories(zs, vs, dt, params.epsilon,
-                         [None if drive is None else drive.seed])[0]
+                  dt, n_steps)
+    return _trajectories(zs, vs, dt, params.epsilon, [None])[0]
 
 
 def integrate_ensemble(epsilon: float, drives: Sequence[ModeSet], dt: float,
@@ -282,14 +322,50 @@ def integrate_ensemble(epsilon: float, drives: Sequence[ModeSet], dt: float,
     """Integrate many driven realizations sharing one frequency grid.
 
     All drives must have identical mode frequencies (same band, same mode
-    count); the forcing of every realization is then evaluated in a single
-    ``mode_sum`` call, and all realizations are stepped together.
+    count); z and z' of every realization are then one ``mode_sum`` each,
+    over all step times, plus the free mode. Every realization starts from
+    (z0, zdot0).
     """
-    _check_epsilon(epsilon)
-    n_steps = _n_steps(dt, t_max)
-    g = _drive_grid(drives, epsilon, dt, n_steps)
-    zs, vs = _rk4(epsilon, z0, zdot0, g, dt, n_steps)
+    run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
+    zs, vs = (run.sample(row, 0, run.n_steps + 1) for row in (0, 1))
+    zs[:, 0], vs[:, 0] = z0, zdot0
     return _trajectories(zs, vs, dt, epsilon, [d.seed for d in drives])
+
+
+def stationary_mean_z2(epsilon: float, drives: Sequence[ModeSet], dt: float, t_max: float,
+                       discard: float, z0: float = 0.0, zdot0: float = 0.0) -> np.ndarray:
+    """Each realization's mean of z^2 after the burn-in, without holding its trajectory.
+
+    The same run as ``integrate_ensemble``, whose per-realization means
+    ``analysis.ensemble_stationary_variance`` takes over the samples
+    int(discard (N+1)) .. N. Only z is computed, only at those samples, and
+    only its sum of squares is kept: over realization groups of
+    ``_STREAM_GROUP`` and time blocks of at most ``_SUM_BLOCK`` steps, so the
+    working memory does not grow with the run's length or ensemble size.
+    """
+    if not 0.0 <= discard < 1.0:
+        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
+    run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
+    n_samples = run.n_steps + 1
+    first = int(discard * n_samples)
+    sums = np.zeros(len(drives))
+    for g in range(0, len(drives), _STREAM_GROUP):
+        group = slice(g, g + _STREAM_GROUP)
+        for start in range(first, n_samples, _SUM_BLOCK):
+            z = run.sample(0, start, min(start + _SUM_BLOCK, n_samples), group)
+            sums[group] += np.einsum("ij,ij->i", z, z)
+    return sums / (n_samples - first)
+
+
+def rk4_transfer_max_rel_err(epsilon: float, dt: float, omegas: np.ndarray) -> float:
+    """max_k |H_d(w_k) / H(w_k) - 1|: RK4's steady-state response error on a drive's modes.
+
+    H(w) = 1 / (1 - w^2 + i eps w) is the exact response of z to the forcing
+    e^{iwt}, and H_d its RK4 counterpart; the error falls as dt^4.
+    """
+    lam, vec, to_mode = _rk4_map(epsilon, dt)
+    h_d = _transfer(lam, vec, to_mode, dt, omegas)[0][0]
+    return float(np.max(np.abs(h_d * (1.0 - omegas**2 + 1j * epsilon * omegas) - 1.0)))
 
 
 # ---------------------------------------------------------------------------

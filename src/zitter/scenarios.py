@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,9 @@ SCENARIO_NAMES = (
 
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
-#: most float64 values one array of a run may hold (400 MB); the largest at
-#: a default config is stationary's drive grid, 170,119 half steps x 100
-#: realizations = 1.7e7
+#: most float64 values one array of a run may hold (400 MB), and most values
+#: of z a streamed run may compute; the largest at a default config is
+#: stationary's 85,060 steps x 100 realizations = 8.5e6 values of z
 _MAX_VALUES = 5 * 10**7
 
 
@@ -234,11 +235,11 @@ def validate_config(raw: dict) -> Scenario:
 
 
 def _check_size(n_values: float, what: str) -> None:
-    """Refuse a run before it allocates an array of more than ``_MAX_VALUES``."""
+    """Refuse a run before it allocates or computes more than ``_MAX_VALUES`` values."""
     if not n_values <= _MAX_VALUES:
         raise ConfigError(
-            f"{what} would hold {n_values:.3g} values, over the limit of "
-            f"{_MAX_VALUES:.3g} ({8 * _MAX_VALUES // 10**6} MB) for one array"
+            f"{what} would come to {n_values:.3g} values, over the limit of "
+            f"{_MAX_VALUES:.3g} ({8 * _MAX_VALUES // 10**6} MB as one array)"
         )
 
 
@@ -394,8 +395,8 @@ def _run_stationary(sc, out, fc, dc, params):
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
     params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
-    _check_size((2.0 * t_max / params["dt"] + 1.0) * params["n_realizations"],
-                "the drive grid of 2 t_max / dt + 1 half steps x n_realizations")
+    _check_size((t_max / params["dt"] + 1.0) * params["n_realizations"],
+                "z at t_max / dt + 1 steps x n_realizations")
     _check_size(params["n_modes"] * params["n_realizations"],
                 "the mode coefficients, n_modes x n_realizations,")
     # the drive horizon check, made before the modes are synthesized
@@ -411,8 +412,8 @@ def _run_stationary(sc, out, fc, dc, params):
     spectrum = zpf.sed_drive_spectrum(eps, (lo, hi))
     seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
     drives = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
-    trajs = dynamics.integrate_ensemble(eps, drives, params["dt"], t_max)
-    stats = analysis.ensemble_stationary_variance(trajs, discard_time / t_max)
+    stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
+        eps, drives, params["dt"], t_max, discard_time / t_max))
     payload = {
         "n_realizations": stats.n_realizations,
         "mean_z2": stats.mean_z2,
@@ -423,6 +424,8 @@ def _run_stationary(sc, out, fc, dc, params):
         "t_max": t_max,
         "epsilon": eps,
         "mean_z2_cm2": stats.mean_z2 * dc.lambda_C_bar**2,
+        "rk4_transfer_max_rel_err": dynamics.rk4_transfer_max_rel_err(
+            eps, params["dt"], drives[0].omegas),
     }
     _write_json(os.path.join(out, "ensemble.json"), payload)
     return payload
@@ -434,6 +437,14 @@ def _run_dirac(sc, out, fc, dc, params):
     dp = dynamics.DiracFreeParticle(E=energy, p=params["momentum"],
                                     v0=params["v0_over_c"] * fc.c, fc=fc)
     period = math.pi * fc.hbar / energy
+    sample_step = params["n_periods"] * period / (params["n_samples"] - 1)
+    # a subnormal time keeps only a few significant bits: the phases 2 E t / hbar go wrong
+    if not min(period, sample_step) >= sys.float_info.min:
+        raise ConfigError(
+            f"energy_over_mc2 {params['energy_over_mc2']!r}, n_periods "
+            f"{params['n_periods']!r} and n_samples {params['n_samples']!r} give an "
+            f"oscillation period of {period:.6g} s and a sample step of {sample_step:.6g} s; "
+            f"both must be at least {sys.float_info.min:.6g} s, the smallest normal double")
     times = np.linspace(0.0, params["n_periods"] * period, params["n_samples"])
     velocity = dynamics.dirac_velocity(dp, times)
     rows = [

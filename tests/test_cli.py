@@ -123,6 +123,21 @@ class TestScenarioRuns:
         payload = read_json(out / "ensemble.json")
         assert payload["mean_z2_over_half"] == pytest.approx(1.0, rel=0.35)
         assert payload["n_realizations"] == 8
+        assert 0.0 < payload["rk4_transfer_max_rel_err"] < 1e-5
+
+    def test_stationary_memory_peak(self, tmp_path):
+        # z is summed in realization groups and time blocks and never held:
+        # the default run's 85,060 x 100 values of z alone would be 68 MB
+        import tracemalloc
+
+        sc = validate_config({"scenario": "stationary", "seed": 1})
+        tracemalloc.start()
+        try:
+            run_scenario(sc, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 10**6
 
 
 class TestReproducibility:
@@ -194,12 +209,20 @@ class TestExitCodes:
         ({"scenario": "stationary", "params": {"n_modes": 100}}, "n_modes"),
         ({"scenario": "dirac", "params": {"v0_over_c": 2}}, "v0_over_c"),
         ({"scenario": "dirac", "params": {"energy_over_mc2": 0.5}}, "energy_over_mc2"),
+        # the period pi hbar / E is subnormal (4.0e-321 and 4.0e-311 s): the
+        # sample times keep a few significant bits and their phases go wrong
+        ({"scenario": "dirac", "params": {"energy_over_mc2": 1e300}}, "energy_over_mc2"),
+        ({"scenario": "dirac", "params": {"energy_over_mc2": 1e290}}, "energy_over_mc2"),
+        # a normal period of 4.0e-308 s, but a subnormal sample step of 3.2e-310 s
+        ({"scenario": "dirac", "params": {"energy_over_mc2": 1e287}}, "energy_over_mc2"),
         # under one carrier period: too few zero crossings to fit
         ({"scenario": "transient", "params": {"fit_window": [1, 2]}}, "fit_window"),
-        # run sizes past the one-array budget: 3.2e13 steps, 1.7e13 and 1.2e10 values
+        # run sizes past the budget: 3.2e13 steps, 8.5e12 values of z, 1.2e10 values
         ({"scenario": "transient", "params": {"t_max": 1e12}}, "t_max"),
         ({"scenario": "stationary", "params": {"n_realizations": 100_000_000}},
          "n_realizations"),
+        # 2e6 mode coefficients, but z at 85,060 steps x 1000 = 8.5e7 values
+        ({"scenario": "stationary", "params": {"n_realizations": 1000}}, "n_realizations"),
         ({"scenario": "psd-check", "params": {"n_modes": 100_000_000}}, "n_modes"),
         # the Nyquist frequency pi / sample_dt must reach the band's edge 1.2
         ({"scenario": "psd-check", "params": {"sample_dt": 2.7}}, "sample_dt"),
@@ -214,8 +237,11 @@ class TestExitCodes:
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
             "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
             "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy",
+            "dirac-subnormal-period-1e300", "dirac-subnormal-period-1e290",
+            "dirac-subnormal-step-1e287",
             "transient-window-too-short", "transient-too-many-steps",
-            "stationary-too-many-realizations", "psd-too-many-modes",
+            "stationary-too-many-realizations", "stationary-too-many-z-values",
+            "psd-too-many-modes",
             "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
             "roots-epsilon-too-small", "transient-infinite-velocity",
             "transient-infinite-position"])

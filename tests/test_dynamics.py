@@ -14,6 +14,7 @@ from zitter.dynamics import (
     trajectory_to_csv,
     transient_envelope,
 )
+from zitter.analysis import ensemble_stationary_variance, ensemble_stats
 from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
@@ -196,6 +197,61 @@ class TestEnsemble:
             integrate_ensemble(EPS_CODATA, drives, DT, 10.0 * drives[0].t_rec)
 
 
+class TestStreamedStatistic:
+    @pytest.mark.parametrize("discard", [0.0, 0.3])
+    def test_matches_ensemble_trajectories(self, discard):
+        # one full realization group and a partial one; 19,100 samples at
+        # discard 0 and 13,370 at 0.3, each ending in a partial time block
+        eps, n_real, t_max = 0.02, dynamics._STREAM_GROUP + 3, 600.0
+        spec = sed_drive_spectrum(eps)
+        drives = [synthesize_band(spec, 64, seed=s) for s in range(n_real)]
+        trajs = integrate_ensemble(eps, drives, DT, t_max, 0.1, -0.2)
+        streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard, 0.1, -0.2)
+        first = int(discard * len(trajs[0].z))
+        kept = len(trajs[0].z) - first
+        assert kept > dynamics._SUM_BLOCK and kept % dynamics._SUM_BLOCK != 0
+        assert n_real % dynamics._STREAM_GROUP != 0
+        per_run = np.array([np.mean(t.z[first:] ** 2) for t in trajs])
+        assert np.max(np.abs(streamed / per_run - 1.0)) <= 1e-12
+        whole = ensemble_stationary_variance(trajs, discard)
+        stats = ensemble_stats(streamed)
+        assert stats.n_realizations == whole.n_realizations == n_real
+        assert stats.mean_z2 == pytest.approx(whole.mean_z2, rel=1e-12, abs=0.0)
+        assert stats.stderr == pytest.approx(whole.stderr, rel=1e-12, abs=0.0)
+
+    def test_discard_fraction_guard(self):
+        drives = [synthesize_band(sed_drive_spectrum(0.02), 64, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match="discard"):
+            dynamics.stationary_mean_z2(0.02, drives, DT, 100.0, 1.0)
+
+    def test_horizon_guard(self):
+        drives = [synthesize_band(sed_drive_spectrum(0.02), 16, seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match="horizon"):
+            dynamics.stationary_mean_z2(0.02, drives, DT, 2.0 * drives[0].t_rec, 0.5)
+
+
+class TestTransferError:
+    def test_small_at_default_step_and_fourth_order(self):
+        omegas = synthesize_band(sed_drive_spectrum(EPS_CODATA), 2000, seed=1).omegas
+        err = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT, omegas)
+        half = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT / 2.0, omegas)
+        assert err < 1e-5
+        assert 13.0 < err / half < 19.0
+
+    def test_matches_steady_response_of_step_loop(self):
+        # one mode at w: once the free mode has decayed, the textbook loop's z
+        # is Re(H_d e^{iwt}), and H = 1/(1 - w^2 + i eps w) is off by the error
+        eps, w, dt, n_steps = 0.099, 1.05, MAX_DT, 4000
+        t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
+        ref_z, _ = rk4_loop(eps, 0.0, 0.0, np.cos(w * t_half)[:, None], dt, n_steps)
+        t = dt * np.arange(n_steps + 1)
+        gain = 1.0 / (1.0 - w**2 + 1j * eps * w)
+        err = dynamics.rk4_transfer_max_rel_err(eps, dt, np.array([w]))
+        tail = slice(n_steps - 200, None)
+        measured = np.max(np.abs(ref_z[0, tail] - (gain * np.exp(1j * w * t[tail])).real))
+        assert measured / abs(gain) == pytest.approx(err, rel=1e-3)
+
+
 def rk4_loop(epsilon, z0, v0, g, dt, n_steps):
     """Textbook RK4 on x = (z, z'), one step at a time; g has shape (2n+1, R)."""
     def deriv(x, gt):
@@ -215,19 +271,29 @@ def rk4_loop(epsilon, z0, v0, g, dt, n_steps):
 
 
 class TestIntegratorOracle:
-    """The filter-form integrator against code it shares nothing with."""
+    """The closed-form integrator against code it shares nothing with."""
 
     N_STEPS = 10_000
 
     @staticmethod
     def check_forced(eps, dt, n_steps):
-        # several blocks of the integrator, the last one partial
-        assert n_steps > 1024 and n_steps % dynamics._SUB != 0
+        # several blocks of the free mode and of the direct mode sum, the last ones partial
+        assert n_steps + 1 > dynamics._BLOCK and (n_steps + 1) % dynamics._BLOCK != 0
+        # irregular frequencies, so mode_sum takes its direct path; the first
+        # gap sets t_rec = 2 pi / 1e-4, past every run here
+        omegas = np.array([0.93, 0.9301, 1.0, 1.12])
+        drives = [ModeSet(omegas=omegas, amplitudes=np.array(a), phases=np.array(p), seed=i)
+                  for i, (a, p) in enumerate([((0.02, 0.0, 0.01, 0.005), (1.1, 0.0, 0.0, -2.0)),
+                                              ((0.0, 0.003, 0.01, 0.0), (0.0, 2.5, 0.7, 0.0)),
+                                              ((0.005, 0.0, 0.0, 0.02), (-2.0, 0.0, 0.0, 1.1))])]
+        # the order-reduced forcing D + eps*D' on the half-step grid, mode by mode
         t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
-        g = np.stack([a * np.cos(w * t_half + p) for a, w, p in
-                      [(0.01, 1.0, 0.0), (0.02, 0.93, 1.1), (0.005, 1.12, -2.0)]],
-                     axis=1)
-        zs, vs = dynamics._rk4(eps, 0.3, -0.2, g, dt, n_steps)
+        g = np.stack([sum(a * (np.cos(w * t_half + p) - eps * w * np.sin(w * t_half + p))
+                          for a, w, p in zip(d.amplitudes, d.omegas, d.phases))
+                      for d in drives], axis=1)
+        trajs = integrate_ensemble(eps, drives, dt, n_steps * dt, 0.3, -0.2)
+        zs = np.array([t.z for t in trajs])
+        vs = np.array([t.zdot for t in trajs])
         ref_z, ref_v = rk4_loop(eps, 0.3, -0.2, g, dt, n_steps)
         assert zs.shape == (3, n_steps + 1)
         assert np.max(np.abs(zs - ref_z)) <= 1e-10
@@ -237,7 +303,7 @@ class TestIntegratorOracle:
         self.check_forced(0.01, DT, self.N_STEPS)
 
     def test_forced_run_at_largest_step_and_damping(self):
-        # eps near 0.1 and dt = MAX_DT: |lam|^-j grows fastest inside a block
+        # eps near 0.1 and dt = MAX_DT: the coarsest step, the fastest free decay
         self.check_forced(0.099, MAX_DT, 1337)
 
     def test_unforced_run_matches_step_loop(self):
@@ -292,11 +358,12 @@ class TestGuards:
 
     def test_instability_detector(self):
         # dt = 3 lies outside RK4's stability region (|R(3i)| ~ 1.5): the
-        # one-step map is refused before any step, forced or not
+        # one-step map, which forced and unforced runs both read, is refused
+        # before any step
         with pytest.raises(NumericalInstabilityError, match="eigenvalue"):
-            dynamics._rk4(0.01, 1.0, 0.0, None, 3.0, 10)
+            dynamics._rk4(0.01, 1.0, 0.0, 3.0, 10)
         with pytest.raises(NumericalInstabilityError, match="eigenvalue"):
-            dynamics._rk4(0.01, 1.0, 0.0, np.zeros((21, 3)), 3.0, 10)
+            dynamics._rk4_map(0.01, 3.0)
 
 
 class TestTrajectory:
