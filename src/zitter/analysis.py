@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import DerivedConstants
-from .dynamics import Trajectory
+from .dynamics import Trajectory, first_kept_sample
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,7 @@ def ensemble_stats(per_run: Sequence[float]) -> EnsembleStats:
 def ensemble_stationary_variance(trajs: Sequence[Trajectory],
                                  discard: float) -> EnsembleStats:
     """Average z^2 over realizations after discarding the burn-in fraction."""
-    if not 0.0 <= discard < 1.0:
-        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
-    return ensemble_stats([np.mean(traj.z[int(discard * len(traj.z)):] ** 2)
+    return ensemble_stats([np.mean(traj.z[first_kept_sample(discard, len(traj.z)):] ** 2)
                            for traj in trajs])
 
 

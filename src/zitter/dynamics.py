@@ -332,22 +332,27 @@ def integrate_ensemble(epsilon: float, drives: Sequence[ModeSet], dt: float,
     return _trajectories(zs, vs, dt, epsilon, [d.seed for d in drives])
 
 
+def first_kept_sample(discard: float, n_samples: int) -> int:
+    """Index of the first sample kept after discarding the burn-in fraction."""
+    if not 0.0 <= discard < 1.0:
+        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
+    return int(discard * n_samples)
+
+
 def stationary_mean_z2(epsilon: float, drives: Sequence[ModeSet], dt: float, t_max: float,
-                       discard: float, z0: float = 0.0, zdot0: float = 0.0) -> np.ndarray:
+                       discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, without holding its trajectory.
 
-    The same run as ``integrate_ensemble``, whose per-realization means
-    ``analysis.ensemble_stationary_variance`` takes over the samples
-    int(discard (N+1)) .. N. Only z is computed, only at those samples, and
-    only its sum of squares is kept: over realization groups of
+    The same run as ``integrate_ensemble`` from rest, whose per-realization
+    means ``analysis.ensemble_stationary_variance`` takes over the samples
+    ``first_kept_sample(discard, N+1)`` .. N. Only z is computed, only at those
+    samples, and only its sum of squares is kept: over realization groups of
     ``_STREAM_GROUP`` and time blocks of at most ``_SUM_BLOCK`` steps, so the
     working memory does not grow with the run's length or ensemble size.
     """
-    if not 0.0 <= discard < 1.0:
-        raise ValueError(f"discard fraction must lie in [0, 1), got {discard}")
-    run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
+    run = _DrivenRK4(epsilon, drives, dt, t_max, 0.0, 0.0)
     n_samples = run.n_steps + 1
-    first = int(discard * n_samples)
+    first = first_kept_sample(discard, n_samples)
     sums = np.zeros(len(drives))
     for g in range(0, len(drives), _STREAM_GROUP):
         group = slice(g, g + _STREAM_GROUP)

@@ -112,9 +112,8 @@ def test_criterion_5_stationary_amplitude():
 
         drives = [synthesize_band(spec, 2000, s) for s in child_seeds(20260823, 100)]
         t_max = 13.0 / eps
-        trajs = dynamics.integrate_ensemble(eps, drives, DT, t_max)
-        stats = analysis.ensemble_stationary_variance(trajs,
-                                                      discard=(3.0 / eps) / t_max)
+        stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
+            eps, drives, DT, t_max, (3.0 / eps) / t_max))
         assert stats.mean_z2 == pytest.approx(0.5, rel=0.10)
         assert stats.mean_z2 == pytest.approx(oracle, rel=0.05)
         # physical statement: RMS displacement is of the Compton-wavelength scale

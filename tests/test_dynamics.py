@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zitter import dynamics
+from zitter import dynamics, zpf
 from zitter.dynamics import (
     MAX_DT,
     FastMotionParams,
@@ -205,9 +205,9 @@ class TestStreamedStatistic:
         eps, n_real, t_max = 0.02, dynamics._STREAM_GROUP + 3, 600.0
         spec = sed_drive_spectrum(eps)
         drives = [synthesize_band(spec, 64, seed=s) for s in range(n_real)]
-        trajs = integrate_ensemble(eps, drives, DT, t_max, 0.1, -0.2)
-        streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard, 0.1, -0.2)
-        first = int(discard * len(trajs[0].z))
+        trajs = integrate_ensemble(eps, drives, DT, t_max)
+        streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard)
+        first = dynamics.first_kept_sample(discard, len(trajs[0].z))
         kept = len(trajs[0].z) - first
         assert kept > dynamics._SUM_BLOCK and kept % dynamics._SUM_BLOCK != 0
         assert n_real % dynamics._STREAM_GROUP != 0
@@ -277,7 +277,7 @@ class TestIntegratorOracle:
 
     @staticmethod
     def check_forced(eps, dt, n_steps):
-        # several blocks of the free mode and of the direct mode sum, the last ones partial
+        # several blocks of the free mode, the last one partial
         assert n_steps + 1 > dynamics._BLOCK and (n_steps + 1) % dynamics._BLOCK != 0
         # irregular frequencies, so mode_sum takes its direct path; the first
         # gap sets t_rec = 2 pi / 1e-4, past every run here
@@ -300,6 +300,8 @@ class TestIntegratorOracle:
         assert np.max(np.abs(vs - ref_v)) <= 1e-10
 
     def test_forced_ensemble_matches_step_loop(self):
+        # also more than one block of the direct mode sum
+        assert self.N_STEPS + 1 > zpf._BLOCK
         self.check_forced(0.01, DT, self.N_STEPS)
 
     def test_forced_run_at_largest_step_and_damping(self):
