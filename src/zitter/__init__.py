@@ -37,12 +37,14 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericalInstabilityError
 from .zpf import (
+    ModeEnsemble,
     ModeSet,
     SpectrumModel,
     child_seeds,
     estimate_psd,
     sed_drive_spectrum,
     synthesize_band,
+    synthesize_ensemble,
 )
 
 __version__ = "0.1.0"

@@ -48,9 +48,14 @@ def min_fit_span(dt: float) -> float:
 
 
 def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFit:
-    """Fit decay rate and carrier to a decaying oscillation inside ``window``."""
+    """Fit decay rate and carrier to a decaying oscillation inside ``window``.
+
+    The window may end up to half a step past the last sample, as a run to
+    ``t_max`` does when t_max / dt rounds just below a whole number of steps;
+    it then holds the same samples as a window ending at the last one.
+    """
     t0, t1 = window
-    if t0 < traj.times[0] or t1 > traj.times[-1] or t0 >= t1:
+    if t0 < traj.times[0] or t1 > traj.times[-1] + 0.5 * traj.dt or t0 >= t1:
         raise ValueError(
             f"fit window [{t0}, {t1}] must lie inside the trajectory span "
             f"[{traj.times[0]}, {traj.times[-1]}]"

@@ -27,7 +27,7 @@ import numpy as np
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
 from .zpf import _BLOCK as _SUM_BLOCK
-from .zpf import ModeSet, drive_coefficients, mode_sum, vector_potential
+from .zpf import ModeEnsemble, ModeSet, phasor_blocks, vector_potential
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -249,39 +249,57 @@ class _DrivenRK4:
     """RK4 of z'' = -z - eps*z' + D + eps*D' for mode-set drives, in closed form.
 
     The equation is linear and time-invariant and the drive is a mode sum,
-    so RK4's x_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n},
-    one ``mode_sum`` over the step times, plus the free mode
-    2 Re(vec lam^n (y_0 - y_p(0))) that carries the initial state. Here
-    c_k = cc_k - i sc_k are the drive coefficients of D + eps*D' and y_p(0)
-    is the steady solution's mode at t = 0.
+    so RK4's x_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n}
+    plus the free mode 2 Re(vec lam^n (y_0 - y_p(0))) that carries the
+    initial state. Here c_k are the complex coefficients of D + eps*D', held
+    realization-major (R, K), and y_p(0) is the steady solution's mode at
+    t = 0. H_d enters the mode sum as a per-mode gain, so no (R, K) array of
+    c_k H_d(w_k) is formed.
     """
 
-    def __init__(self, epsilon: float, drives: Sequence[ModeSet], dt: float, t_max: float,
-                 z0: float, zdot0: float):
+    def __init__(self, epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
+                 t_max: float, z0: float, zdot0: float):
         _check_epsilon(epsilon)
+        ens = drives if isinstance(drives, ModeEnsemble) else ModeEnsemble.stack(drives)
         self.dt, self.n_steps = dt, _n_steps(dt, t_max)
         self.lam, self.vec, to_mode = _rk4_map(epsilon, dt)
-        self.omegas, cos_c, sin_c = drive_coefficients(drives, epsilon)
-        if dt * self.n_steps >= drives[0].t_rec:
+        if dt * self.n_steps >= ens.t_rec:
             raise ValueError(
                 f"t_max={dt * self.n_steps:.6g} reaches the drive validity horizon "
-                f"t_rec={drives[0].t_rec:.6g}"
+                f"t_rec={ens.t_rec:.6g}"
             )
-        self.coeff = cos_c - 1j * sin_c  # (K, R)
+        self.omegas, self.seeds = ens.omegas, ens.seeds
+        self.coeff = ens.coefficients(epsilon)
         self.transfer, p, p_neg = _transfer(self.lam, self.vec, to_mode, dt, self.omegas)
-        steady0 = 0.5 * (p @ self.coeff + p_neg @ np.conj(self.coeff))
-        # lam (y_0 - y_p(0)), the free mode one step on
-        self.free = (to_mode[0] * z0 + to_mode[1] * zdot0 - self.lam * steady0)[:, None]
+        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no (R, K) temporary
+        steady0 = 0.5 * (self.coeff @ p + np.conj(self.coeff @ np.conj(p_neg)))
+        # f = lam (y_0 - y_p(0)), the free mode one step on, as (Re f, -Im f)
+        free = to_mode[0] * z0 + to_mode[1] * zdot0 - self.lam * steady0
+        self.free = np.stack((free.real, -free.imag), axis=1)
 
-    def sample(self, row: int, first: int, stop: int, group: slice = slice(None)) -> np.ndarray:
-        """z (``row`` 0) or z' (1) at steps first..stop-1, one row per realization of ``group``."""
-        gain = self.coeff[:, group] * self.transfer[row][:, None]
-        out = mode_sum(self.omegas, gain.real, -gain.imag,
-                       self.dt * np.arange(first, stop)).T
-        state = self.free[group] * self.lam ** (first - 1)
-        for start, y in _free_modes(self.lam, state, stop - first):
-            out[:, start:start + y.shape[1]] += 2.0 * (self.vec[row] * y).real
-        return out
+    def blocks(self, row: int, first: int, group: int):
+        """z (``row`` 0) or z' (1) at steps first..N: ``(rows, steps, values)`` items.
+
+        Each item holds one realization group ``rows`` over one time block of
+        ``steps``; ``values`` is a real view of ``phasor_blocks``' buffer, valid
+        until the next item. The free mode at step n is Re(f u_n) with
+        u_n = 2 vec lam^(n-1), the same course for every realization: it is
+        built once per time block and added to a group as one real product.
+        """
+        times = self.dt * np.arange(first, self.n_steps + 1)
+        span = None
+        for rows, cols, values in phasor_blocks(self.omegas, self.coeff, times, group,
+                                                self.transfer[row]):
+            if cols != span:
+                span = cols
+                lam_n = np.concatenate([y[0] for _, y in _free_modes(
+                    self.lam, np.full((1, 1), self.lam ** (first + cols.start - 1)),
+                    cols.stop - cols.start)])
+                u = 2.0 * self.vec[row] * lam_n
+                course = np.stack((u.real, u.imag))
+            x = values.real
+            x += self.free[rows] @ course
+            yield rows, slice(first + cols.start, first + cols.stop), x
 
 
 def _n_steps(dt: float, t_max: float) -> int:
@@ -317,19 +335,22 @@ def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Tr
     return _trajectories(zs, vs, dt, params.epsilon, [None])[0]
 
 
-def integrate_ensemble(epsilon: float, drives: Sequence[ModeSet], dt: float,
+def integrate_ensemble(epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
                        t_max: float, z0: float = 0.0, zdot0: float = 0.0) -> list[Trajectory]:
     """Integrate many driven realizations sharing one frequency grid.
 
-    All drives must have identical mode frequencies (same band, same mode
-    count); z and z' of every realization are then one ``mode_sum`` each,
-    over all step times, plus the free mode. Every realization starts from
-    (z0, zdot0).
+    ``drives`` is a ``ModeEnsemble`` or mode sets with identical mode
+    frequencies (same band, same mode count); z and z' of every realization
+    are then one mode sum each, over all step times, plus the free mode.
+    Every realization starts from (z0, zdot0).
     """
     run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
-    zs, vs = (run.sample(row, 0, run.n_steps + 1) for row in (0, 1))
+    zs, vs = (np.empty((len(run.coeff), run.n_steps + 1)) for _ in range(2))
+    for row, out in enumerate((zs, vs)):
+        for rows, steps, x in run.blocks(row, 0, len(out)):
+            out[rows, steps] = x
     zs[:, 0], vs[:, 0] = z0, zdot0
-    return _trajectories(zs, vs, dt, epsilon, [d.seed for d in drives])
+    return _trajectories(zs, vs, dt, epsilon, run.seeds)
 
 
 def first_kept_sample(discard: float, n_samples: int) -> int:
@@ -339,26 +360,23 @@ def first_kept_sample(discard: float, n_samples: int) -> int:
     return int(discard * n_samples)
 
 
-def stationary_mean_z2(epsilon: float, drives: Sequence[ModeSet], dt: float, t_max: float,
-                       discard: float) -> np.ndarray:
+def stationary_mean_z2(epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
+                       t_max: float, discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, without holding its trajectory.
 
     The same run as ``integrate_ensemble`` from rest, whose per-realization
     means ``analysis.ensemble_stationary_variance`` takes over the samples
     ``first_kept_sample(discard, N+1)`` .. N. Only z is computed, only at those
-    samples, and only its sum of squares is kept: over realization groups of
-    ``_STREAM_GROUP`` and time blocks of at most ``_SUM_BLOCK`` steps, so the
+    samples, and only its sum of squares is kept: over time blocks of at most
+    ``_SUM_BLOCK`` steps and realization groups of ``_STREAM_GROUP``, so the
     working memory does not grow with the run's length or ensemble size.
     """
     run = _DrivenRK4(epsilon, drives, dt, t_max, 0.0, 0.0)
     n_samples = run.n_steps + 1
     first = first_kept_sample(discard, n_samples)
-    sums = np.zeros(len(drives))
-    for g in range(0, len(drives), _STREAM_GROUP):
-        group = slice(g, g + _STREAM_GROUP)
-        for start in range(first, n_samples, _SUM_BLOCK):
-            z = run.sample(0, start, min(start + _SUM_BLOCK, n_samples), group)
-            sums[group] += np.einsum("ij,ij->i", z, z)
+    sums = np.zeros(len(run.coeff))
+    for rows, _, z in run.blocks(0, first, _STREAM_GROUP):
+        sums[rows] += np.einsum("ij,ij->i", z, z)
     return sums / (n_samples - first)
 
 

@@ -30,6 +30,18 @@ _DEFAULT_DT = 2.0 * math.pi / 200.0
 #: of z a streamed run may compute; the largest at a default config is
 #: stationary's 85,060 steps x 100 realizations = 8.5e6 values of z
 _MAX_VALUES = 5 * 10**7
+#: bytes ``stationary`` holds per mode and realization, rounded up: the phase
+#: (8) and complex drive coefficient (16) of every realization, and the
+#: chirp-z buffer of a realization group, 16 per mode of each of its rows
+#: times the FFT length's excess over the mode count
+_COEFF_BYTES = 44
+#: the arrays of one row per mode (frequencies, transfer function, chirp,
+#: kernel, twiddles) hold about as much as this many more realizations
+_ROW_ARRAYS = 4
+#: bytes of a time block's share of the chirp-z buffer and its per-step
+#: arrays, whatever the number of modes: 32 rows of 8192 steps at 16 bytes,
+#: with the FFT length's rounding
+_BLOCK_BYTES = 6 * 10**6
 
 
 @dataclass(frozen=True)
@@ -234,12 +246,13 @@ def validate_config(raw: dict) -> Scenario:
     return Scenario(name=name, seed=seed, params=params)
 
 
-def _check_size(n_values: float, what: str) -> None:
-    """Refuse a run before it allocates or computes more than ``_MAX_VALUES`` values."""
-    if not n_values <= _MAX_VALUES:
+def _check_size(n_values: float, what: str, value_bytes: int = 8, fixed_bytes: int = 0) -> None:
+    """Refuse a run before it allocates or computes more than ``_MAX_VALUES`` float64s' worth."""
+    n_bytes = n_values * value_bytes + fixed_bytes
+    if not n_bytes <= 8 * _MAX_VALUES:
         raise ConfigError(
-            f"{what} would come to {n_values:.3g} values, over the limit of "
-            f"{_MAX_VALUES:.3g} ({8 * _MAX_VALUES // 10**6} MB as one array)"
+            f"{what} would come to {n_bytes / 10**6:.3g} MB, over the limit of "
+            f"{8 * _MAX_VALUES // 10**6} MB"
         )
 
 
@@ -368,9 +381,10 @@ def _run_transient(sc, out, fc, dc, params):
         raise ConfigError(f"z0_re and z0_im give a non-finite initial state, z = "
                           f"{fm.initial_position!r} and zdot = {fm.initial_velocity!r}")
     traj = dynamics.integrate_transient(fm, params["dt"], t_max)
+    # fitted before anything is written: a run the fit refuses leaves no file
+    fit = analysis.fit_decay_rate(traj, (window[0], window[1]))
     dynamics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     _write_json(os.path.join(out, "trajectory_meta.json"), _sidecar(traj, dc))
-    fit = analysis.fit_decay_rate(traj, (window[0], window[1]))
     t_est = analysis.transition_time_from_fit(fit, dc)
     payload = {
         "decay_rate": fit.decay_rate,
@@ -395,10 +409,14 @@ def _run_stationary(sc, out, fc, dc, params):
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
     params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
-    _check_size((t_max / params["dt"] + 1.0) * params["n_realizations"],
+    n_samples = t_max / params["dt"] + 1.0
+    _check_size(n_samples * params["n_realizations"],
                 "z at t_max / dt + 1 steps x n_realizations")
-    _check_size(params["n_modes"] * params["n_realizations"],
-                "the mode coefficients, n_modes x n_realizations,")
+    # the kept steps' times take 8 bytes a step
+    _check_size(params["n_modes"] * (params["n_realizations"] + _ROW_ARRAYS),
+                f"the mode coefficients, n_modes x (n_realizations + {_ROW_ARRAYS}) x "
+                f"{_COEFF_BYTES} bytes, a time block and the step times,",
+                _COEFF_BYTES, _BLOCK_BYTES + 8 * n_samples)
     # the drive horizon check, made before the modes are synthesized
     lo, hi = params["band"]
     t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (hi - lo)
@@ -409,9 +427,8 @@ def _run_stationary(sc, out, fc, dc, params):
             f"n_modes {params['n_modes']} over the band {params['band']}; "
             "raise n_modes or lower t_max"
         )
-    spectrum = zpf.sed_drive_spectrum(eps, (lo, hi))
-    seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
-    drives = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
+    drives = zpf.synthesize_ensemble(zpf.sed_drive_spectrum(eps, (lo, hi)), params["n_modes"],
+                                     zpf.child_seeds(sc.seed, params["n_realizations"]))
     stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
         eps, drives, params["dt"], t_max, discard_time / t_max))
     payload = {
@@ -425,7 +442,7 @@ def _run_stationary(sc, out, fc, dc, params):
         "epsilon": eps,
         "mean_z2_cm2": stats.mean_z2 * dc.lambda_C_bar**2,
         "rk4_transfer_max_rel_err": dynamics.rk4_transfer_max_rel_err(
-            eps, params["dt"], drives[0].omegas),
+            eps, params["dt"], drives.omegas),
     }
     _write_json(os.path.join(out, "ensemble.json"), payload)
     return payload
@@ -516,26 +533,25 @@ def _run_psd_check(sc, out, fc, dc, params):
     _check_size(params["n_modes"] * params["n_realizations"],
                 "the mode coefficients, n_modes x n_realizations,")
     spectrum = zpf.sed_drive_spectrum(eps, band)
-    seeds = zpf.child_seeds(sc.seed, params["n_realizations"])
-    sets = [zpf.synthesize_band(spectrum, params["n_modes"], s) for s in seeds]
-    n_samples = int(sets[0].t_rec / sample_dt)
+    fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
+                                     zpf.child_seeds(sc.seed, params["n_realizations"]))
+    n_samples = int(fields.t_rec / sample_dt)
     if params["segment_len"] > n_samples:
         raise ConfigError(
             f"segment_len {params['segment_len']} exceeds the {n_samples} samples per "
             f"realization (t_rec / sample_dt)"
         )
-    times = sample_dt * np.arange(n_samples)
-    series = zpf.mode_sum(*zpf.drive_coefficients(sets), times)
+    series = zpf.phasor_sum(fields.omegas, fields.coefficients(),
+                            sample_dt * np.arange(n_samples))
 
     psd_sum = None
     parseval_errs = []
-    for r, ms in enumerate(sets):
-        omega, psd = zpf.estimate_psd(series[:, r], sample_dt,
-                                      params["segment_len"], params["overlap"])
+    target_var = float(np.sum(fields.amplitudes**2) / 2.0)
+    for x in series:
+        omega, psd = zpf.estimate_psd(x, sample_dt, params["segment_len"], params["overlap"])
         psd_sum = psd if psd_sum is None else psd_sum + psd
-        target_var = float(np.sum(ms.amplitudes**2) / 2.0)
-        parseval_errs.append(abs(float(np.var(series[:, r])) / target_var - 1.0))
-    psd_mean = psd_sum / len(sets)
+        parseval_errs.append(abs(float(np.var(x)) / target_var - 1.0))
+    psd_mean = psd_sum / len(series)
     zpf.psd_to_csv(omega, psd_mean, os.path.join(out, "psd.csv"))
 
     margin = margin_bins * (omega[1] - omega[0])

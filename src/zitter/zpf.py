@@ -57,20 +57,14 @@ def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -
     return SpectrumModel(psd=psd, band_lo=band[0], band_hi=band[1])
 
 
-@dataclass(frozen=True)
-class ModeSet:
-    """Frequencies, amplitudes and phases of one synthesized realization."""
-
-    omegas: np.ndarray
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    seed: int
+class _ModeGrid:
+    """Checks and recurrence time shared by one realization and an ensemble of them."""
 
     def __post_init__(self) -> None:
         n = len(self.omegas)
         if n < 2:
-            raise ValueError(f"a ModeSet needs at least 2 modes, got {n}")
-        if len(self.amplitudes) != n or len(self.phases) != n:
+            raise ValueError(f"a mode set needs at least 2 modes, got {n}")
+        if np.shape(self.amplitudes)[-1] != n or np.shape(self.phases)[-1] != n:
             raise ValueError("omegas, amplitudes and phases must have equal length")
         if not np.all(np.diff(self.omegas) > 0.0):
             raise ValueError("mode frequencies must be strictly increasing")
@@ -84,6 +78,16 @@ class ModeSet:
         """Recurrence time 2*pi/d_omega; statistics are invalid beyond it."""
         return 2.0 * math.pi / self.delta_omega
 
+
+@dataclass(frozen=True)
+class ModeSet(_ModeGrid):
+    """Frequencies, amplitudes and phases of one synthesized realization."""
+
+    omegas: np.ndarray
+    amplitudes: np.ndarray
+    phases: np.ndarray
+    seed: int
+
     def scaled(self, amplitude_factor: float) -> "ModeSet":
         """Same realization with every amplitude multiplied by ``amplitude_factor``."""
         return ModeSet(
@@ -94,14 +98,67 @@ class ModeSet:
         )
 
 
+@dataclass(frozen=True)
+class ModeEnsemble(_ModeGrid):
+    """R realizations on one frequency grid, held realization-major.
+
+    ``omegas`` has shape (K,) and ``phases`` (R, K); ``amplitudes`` is (K,)
+    when the realizations share their spectrum, as synthesized ones do, and
+    (R, K) otherwise.
+    """
+
+    omegas: np.ndarray
+    amplitudes: np.ndarray
+    phases: np.ndarray
+    seeds: tuple
+
+    @classmethod
+    def stack(cls, mode_sets: Sequence[ModeSet]) -> "ModeEnsemble":
+        """The ensemble of mode sets that share their frequencies."""
+        if not mode_sets:
+            raise ValueError("at least one mode set is required")
+        omegas = mode_sets[0].omegas
+        for ms in mode_sets[1:]:
+            if not np.array_equal(ms.omegas, omegas):
+                raise ValueError("all mode sets must share the same mode frequencies")
+        return cls(omegas=omegas,
+                   amplitudes=np.stack([ms.amplitudes for ms in mode_sets]),
+                   phases=np.stack([ms.phases for ms in mode_sets]),
+                   seeds=tuple(ms.seed for ms in mode_sets))
+
+    def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
+        """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
+
+        A mode of E + eps*E' is one cosine,
+        A sqrt(1 + (eps w)^2) cos(w t + phi + atan(eps w)), so
+        c = A sqrt(1 + (eps w)^2) e^{i (phi + atan(eps w))}; at eps = 0 it is
+        A e^{i phi}. Formed in place, in one pass over (R, K), with no
+        temporary of that size.
+        """
+        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2)
+        c = np.empty(self.phases.shape, dtype=complex)
+        np.add(self.phases, np.arctan(epsilon * self.omegas), out=c.imag)
+        np.cos(c.imag, out=c.real)
+        np.sin(c.imag, out=c.imag)
+        c.real *= scale
+        c.imag *= scale
+        return c
+
+
 def child_seeds(master_seed: int, n: int) -> list[int]:
     """Deterministic per-realization sub-seeds derived from a master seed."""
     ss = np.random.SeedSequence(master_seed)
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(n)]
 
 
-def synthesize_band(spec: SpectrumModel, n_modes: int, seed: int) -> ModeSet:
-    """Equally spaced modes across the band with seeded uniform random phases."""
+def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
+                        seeds: Sequence[int]) -> ModeEnsemble:
+    """Equally spaced modes across the band, one row of seeded uniform random phases per seed.
+
+    The frequencies and amplitudes are computed once for all realizations;
+    row r of the phases is ``numpy.random.default_rng(seeds[r])``'s
+    ``uniform(0, 2 pi, n_modes)``.
+    """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
     omegas = np.linspace(spec.band_lo, spec.band_hi, n_modes)
@@ -110,33 +167,18 @@ def synthesize_band(spec: SpectrumModel, n_modes: int, seed: int) -> ModeSet:
         raise ValueError("spectral density must be finite and non-negative on the band")
     d_omega = omegas[1] - omegas[0]
     amplitudes = np.sqrt(2.0 * psd_values * d_omega)
-    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_modes)
-    return ModeSet(omegas=omegas, amplitudes=amplitudes, phases=phases, seed=int(seed))
+    phases = np.empty((len(seeds), n_modes))
+    for row, seed in zip(phases, seeds):
+        row[:] = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_modes)
+    return ModeEnsemble(omegas=omegas, amplitudes=amplitudes, phases=phases,
+                        seeds=tuple(int(s) for s in seeds))
 
 
-def drive_coefficients(mode_sets: Sequence[ModeSet], epsilon: float = 0.0
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared frequencies and ``mode_sum`` coefficients of E + eps*E'.
-
-    Returns ``(omegas, cos_coeff, sin_coeff)`` with coefficients of shape
-    (K, R), one column per mode set; all mode sets must share their
-    frequencies. Each mode of E + eps*E' is one cosine,
-    A sqrt(1 + (eps w)^2) cos(w t + phi + atan(eps w)); at eps = 0 the
-    coefficients are exactly A cos(phi) and -A sin(phi).
-    """
-    if not mode_sets:
-        raise ValueError("at least one mode set is required")
-    omegas = mode_sets[0].omegas
-    for ms in mode_sets[1:]:
-        if not np.array_equal(ms.omegas, omegas):
-            raise ValueError("all mode sets must share the same mode frequencies")
-    boost = np.sqrt(1.0 + (epsilon * omegas) ** 2)
-    delta = np.arctan(epsilon * omegas)
-    cos_c = np.stack([ms.amplitudes * boost * np.cos(ms.phases + delta)
-                      for ms in mode_sets], axis=1)
-    sin_c = np.stack([-ms.amplitudes * boost * np.sin(ms.phases + delta)
-                      for ms in mode_sets], axis=1)
-    return omegas, cos_c, sin_c
+def synthesize_band(spec: SpectrumModel, n_modes: int, seed: int) -> ModeSet:
+    """One realization of ``synthesize_ensemble``."""
+    ens = synthesize_ensemble(spec, n_modes, [seed])
+    return ModeSet(omegas=ens.omegas, amplitudes=ens.amplitudes, phases=ens.phases[0],
+                   seed=ens.seeds[0])
 
 
 #: time samples per block of a mode sum; bounds its working memory
@@ -173,70 +215,132 @@ def _fft_len(n: int) -> int:
         n += 1
 
 
+class _ChirpZ:
+    """Bluestein's chirp-z plan for sum_k g_k c_k e^{i w_k t}, w_k = w_0 + k dw.
+
+    On a block of at most m times t_b + n h,
+
+        sum_k g_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [g_k c_k e^{i k dw t_b}] W^{kn},
+        W = e^{+i dw h},
+
+    and Bluestein's (1970) identity kn = (k^2 + n^2 - (n - k)^2) / 2 turns the
+    inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
+    ``numpy.fft`` at a 5-smooth length >= K + m - 1. The plan holds what
+    depends only on the modes and the step: the chirp, the kernel's FFT and
+    the FFT length. ``twiddles`` adds what depends on a block's times, and the
+    plan then serves any number of coefficient rows on that block. The chirp
+    is built from exact phases pi scale j^2 / m with integer j^2, as in
+    ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
+    (m + K)^2 / 2 instead drifts by ~1e-9 relative.
+    """
+
+    def __init__(self, omegas: np.ndarray, d_omega: float, h: float, m: int, gain):
+        n_modes = len(omegas)
+        self.n_fft = _fft_len(n_modes + m - 1)
+        # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
+        scale = -m * d_omega * h / (2.0 * math.pi)
+        self.chirp = np.exp(-1j * (math.pi * scale * np.arange(max(m, n_modes)) ** 2 / m))
+        self.kernel = np.fft.fft(
+            1.0 / np.concatenate((self.chirp[n_modes - 1:0:-1], self.chirp[:m])), self.n_fft)
+        self.k_dw = d_omega * np.arange(n_modes)
+        self.w0, self.gain = omegas[0], gain
+        self.buf = np.empty((0, self.n_fft), dtype=complex)
+
+    def twiddles(self, block: np.ndarray):
+        """Per-mode and per-time factors of the block of times ``block``."""
+        pre = np.exp(1j * self.k_dw * block[0]) * self.chirp[:len(self.k_dw)]
+        if self.gain is not None:
+            pre *= self.gain
+        return pre, self.chirp[:len(block)] * np.exp(1j * self.w0 * block)
+
+    def __call__(self, coeff: np.ndarray, twiddles) -> np.ndarray:
+        pre, post = twiddles
+        n_modes = len(pre)
+        if len(self.buf) < len(coeff):
+            self.buf = np.empty((len(coeff), self.n_fft), dtype=complex)
+        buf = self.buf[:len(coeff)]
+        buf[:, n_modes:] = 0.0
+        np.multiply(coeff, pre, out=buf[:, :n_modes])
+        np.fft.fft(buf, axis=-1, out=buf)
+        buf *= self.kernel
+        np.fft.ifft(buf, axis=-1, out=buf)
+        values = buf[:, n_modes - 1:n_modes - 1 + len(post)]
+        values *= post
+        return values
+
+
+class _Direct:
+    """sum_k g_k c_k e^{i w_k t} as a matrix product, O(N K); needs no grid structure."""
+
+    def __init__(self, omegas: np.ndarray, gain):
+        self.omegas = omegas
+        self.gain = 1.0 if gain is None else gain[:, None]
+
+    def twiddles(self, block: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.multiply.outer(self.omegas, block)) * self.gain
+
+    def __call__(self, coeff: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
+        return coeff @ twiddles
+
+
+def phasor_blocks(omegas: np.ndarray, coeff: np.ndarray, times: np.ndarray, group: int,
+                  gain: np.ndarray | None = None):
+    """Yield ``(rows, cols, values)``: sum_k g_k c_k e^{i w_k t} in pieces.
+
+    ``coeff`` holds R realizations' complex coefficients realization-major,
+    shape (R, K), and ``gain`` (K,) is an optional per-mode factor g_k. Each
+    item is one realization group ``rows`` of at most ``group`` rows at the
+    times ``times[cols]``, a complex (rows, cols) array that is a view of a
+    reused buffer, valid until the next item. Time blocks of at most
+    ``_BLOCK`` times are the outer loop: one plan serves every block, a
+    block's twiddles serve every group, and the working memory is
+    O((m + K) group).
+
+    When ``omegas`` and ``times`` are both equally spaced grids, each block is
+    a chirp-z transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K))
+    per row instead of O(m K); any other input (a single time, an irregular
+    grid) is summed directly.
+    """
+    n_times = len(times)
+    n_blocks = max(1, -(-n_times // _BLOCK))
+    m = max(1, -(-n_times // n_blocks))
+    d_omega = _grid_step(omegas)
+    h = _grid_step(times)
+    plan = (_Direct(omegas, gain) if d_omega is None or h is None
+            else _ChirpZ(omegas, d_omega, h, m, gain))
+    for start in range(0, n_times, m):
+        block = times[start:start + m]
+        twiddles = plan.twiddles(block)
+        for g in range(0, len(coeff), group):
+            rows = slice(g, g + group)
+            yield rows, slice(start, start + len(block)), plan(coeff[rows], twiddles)
+
+
+def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
+    """Evaluate Re sum_k c_k e^{i w_k t} on a set of times.
+
+    ``coeff`` is complex, (K,) for one realization or realization-major
+    (R, K) for R realizations sharing the frequencies; the result has shape
+    (N,) or (R, N). See ``phasor_blocks`` for how it is evaluated.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rows = np.atleast_2d(coeff)
+    out = np.empty((len(rows), len(times)))
+    for group, cols, values in phasor_blocks(omegas, rows, times, len(rows)):
+        out[group, cols] = values.real
+    return out if np.ndim(coeff) == 2 else out[0]
+
+
 def mode_sum(omegas: np.ndarray, cos_coeff: np.ndarray, sin_coeff: np.ndarray,
              times: np.ndarray) -> np.ndarray:
     """Evaluate sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)] on a set of times.
 
-    ``cos_coeff``/``sin_coeff`` may be 1-D ``(K,)`` or 2-D ``(K, R)`` to
-    evaluate R realizations sharing the same frequencies in one pass; the
+    The real form of ``phasor_sum``, with c_k = cc_k - i sc_k.
+    ``cos_coeff``/``sin_coeff`` may be 1-D ``(K,)`` or 2-D ``(K, R)``; the
     result has shape ``(N,)`` or ``(N, R)`` and is stored realization-major,
     so each column is contiguous.
-
-    When both ``omegas`` (w_k = w_0 + k dw) and ``times`` are equally spaced
-    grids, the sum is the real part of a chirp-z transform (Rabiner, Schafer
-    & Rader 1969). On a block of times t_b + n h,
-
-        sum_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [c_k e^{i k dw t_b}] W^{kn},
-        c_k = cc_k - i sc_k,   W = e^{+i dw h},
-
-    and Bluestein's (1970) identity kn = (k^2 + n^2 - (n - k)^2) / 2 turns the
-    inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
-    ``numpy.fft`` at a 5-smooth length >= K + m - 1. That costs
-    O((m + K) log(m + K)) per block of m times instead of O(m K). The chirp
-    is built from exact phases pi scale j^2 / m with integer j^2, as in
-    ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
-    (m + K)^2 / 2 instead drifts by ~1e-9 relative. The transforms run over
-    the contiguous last axis of realization-major ``(R, K)`` coefficients, in
-    one reused buffer; blocks of at most ``_BLOCK`` times keep the working
-    memory at O((m + K) R).
-
-    Any other input (a single time, an irregular grid) is summed directly as
-    a blocked trig matrix product, O(N K); that needs no grid structure.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    n_times = len(times)
-    n_modes = len(omegas)
-    out = np.empty(cos_coeff.shape[1:] + (n_times,))
-    d_omega = _grid_step(omegas)
-    h = _grid_step(times)
-    if d_omega is None or h is None:
-        for start in range(0, n_times, _BLOCK):
-            theta = np.outer(times[start:start + _BLOCK], omegas)
-            out[..., start:start + len(theta)] = (np.cos(theta) @ cos_coeff
-                                                  + np.sin(theta) @ sin_coeff).T
-        return out.T
-
-    n_blocks = -(-n_times // _BLOCK)
-    m = -(-n_times // n_blocks)
-    n_fft = _fft_len(n_modes + m - 1)
-    # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
-    scale = -m * d_omega * h / (2.0 * math.pi)
-    chirp = np.exp(-1j * (math.pi * scale * np.arange(max(m, n_modes)) ** 2 / m))
-    kernel = np.fft.fft(1.0 / np.concatenate((chirp[n_modes - 1:0:-1], chirp[:m])), n_fft)
-    k_dw = d_omega * np.arange(n_modes)
-    c = np.ascontiguousarray((cos_coeff - 1j * sin_coeff).T)
-    buf = np.empty(c.shape[:-1] + (n_fft,), dtype=complex)
-    for start in range(0, n_times, m):
-        block = times[start:start + m]
-        buf[..., n_modes:] = 0.0
-        np.multiply(c, np.exp(1j * k_dw * block[0]) * chirp[:n_modes], out=buf[..., :n_modes])
-        np.fft.fft(buf, axis=-1, out=buf)
-        buf *= kernel
-        np.fft.ifft(buf, axis=-1, out=buf)
-        carrier = chirp[:len(block)] * np.exp(1j * omegas[0] * block)
-        out[..., start:start + len(block)] = (
-            buf[..., n_modes - 1:n_modes - 1 + len(block)] * carrier).real
-    return out.T
+    return phasor_sum(omegas, np.transpose(cos_coeff - 1j * sin_coeff), times).T
 
 
 def _check_horizon(ms: ModeSet, t: np.ndarray) -> None:

@@ -139,6 +139,40 @@ class TestScenarioRuns:
             tracemalloc.stop()
         assert peak <= 64 * 10**6
 
+    @pytest.mark.parametrize("config, expected", [
+        ({"scenario": "stationary"}, 0.501753334156327),
+        (json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                     / "stationary.json").read_text()), 0.45068234054330625),
+    ], ids=["default", "perfbench"])
+    def test_stationary_result_pinned(self, tmp_path, config, expected):
+        # catches numeric drift that a rerun of the same tree cannot
+        sc = validate_config(dict(config, seed=1))
+        assert run_scenario(sc, str(tmp_path))["mean_z2"] == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
+    def test_stationary_coefficient_footprint(self, tmp_path):
+        # the memory that the size limit charges a run with many modes: the
+        # modes' phases and coefficients, a group's chirp-z buffer, the arrays
+        # of one row per mode, one time block and the step times
+        import tracemalloc
+
+        from zitter import scenarios
+
+        n_modes, n_real, t_max = 20_000, 50, 200.0
+        sc = validate_config({"scenario": "stationary", "seed": 1, "params": {
+            "n_modes": n_modes, "n_realizations": n_real, "t_max": t_max,
+            "discard_time": 50.0}})
+        tracemalloc.start()
+        try:
+            run_scenario(sc, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charged = (scenarios._COEFF_BYTES * n_modes * (n_real + scenarios._ROW_ARRAYS)
+                   + scenarios._BLOCK_BYTES + 8 * (t_max / sc.params["dt"] + 1.0))
+        # every realization's phases and complex coefficients are held
+        assert 24 * n_modes * n_real <= peak <= charged
+
 
 class TestReproducibility:
     def _run(self, out, seed=11):
@@ -298,9 +332,32 @@ class TestExitCodes:
         def stop(*args):
             raise Admitted
 
-        monkeypatch.setattr("zitter.zpf.synthesize_band", stop)
+        monkeypatch.setattr("zitter.zpf.synthesize_ensemble", stop)
         with pytest.raises(Admitted):
             run_scenario(validate_config(config), str(tmp_path))
+
+    @pytest.mark.parametrize("config", [
+        # the last step lands at 1499.9999999999998, short of the window's end 6 / eps
+        {"scenario": "transient", "params": {"dt": 0.0096, "epsilon": 0.004}},
+        {"scenario": "sweep-epsilon", "params": {"dt": 0.0096, "epsilons": [0.004, 0.01]}},
+        # and at 1000.0, short of 1000.0000000000001
+        {"scenario": "transient", "params": {"dt": 0.01, "t_max": 1000.0000000000001,
+                                             "fit_window": [205.0, 1000.0000000000001]}},
+    ], ids=["transient-default-window", "sweep", "transient-given-window"])
+    def test_window_ending_past_rounded_last_step_runs(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        if config["scenario"] == "transient":
+            fit = read_json(out / "fit.json")
+            last_step = float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0])
+            assert last_step < fit["window"][1] == read_json(
+                out / "manifest.json")["params"]["fit_window"][1]
+            assert fit["decay_over_half_epsilon"] == pytest.approx(1.0, rel=1e-2)
+        else:
+            assert read_json(out / "regression.json")["slope_over_half"] == pytest.approx(
+                1.0, rel=1e-2)
 
     def test_missing_scenario_returns_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2

@@ -5,12 +5,12 @@ import pytest
 
 from zitter import zpf
 from zitter.zpf import (
+    ModeEnsemble,
     ModeSet,
     SpectrumModel,
     child_seeds,
-    drive_coefficients,
     estimate_psd,
-    mode_sum,
+    phasor_sum,
     sed_drive_spectrum,
     synthesize_band,
     vector_potential,
@@ -21,7 +21,7 @@ EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 
 def drive(ms, t, epsilon=0.0):
     """E + eps*E' of one mode set at the times t, on the integrator's drive path."""
-    return mode_sum(*drive_coefficients([ms], epsilon), t)[:, 0]
+    return phasor_sum(ms.omegas, ModeEnsemble.stack([ms]).coefficients(epsilon), t)[0]
 
 
 def single_mode(amplitude=1.0, omega=1.0, phase=0.0, spacing=1e-3):
@@ -97,6 +97,46 @@ class TestSynthesis:
     def test_child_seeds_deterministic(self):
         assert child_seeds(123, 5) == child_seeds(123, 5)
         assert len(set(child_seeds(123, 64))) == 64
+
+
+class TestEnsemble:
+    def test_phases_are_each_seeds_stream(self):
+        seeds = child_seeds(2718, 5)
+        ens = zpf.synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 300, seeds)
+        assert ens.phases.shape == (5, 300)
+        assert ens.seeds == tuple(seeds)
+        for row, seed in zip(ens.phases, seeds):
+            expected = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 300)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_band_is_a_row_of_the_ensemble(self):
+        spec = sed_drive_spectrum(EPS_CODATA)
+        ens = zpf.synthesize_ensemble(spec, 128, [7, 8])
+        ms = synthesize_band(spec, 128, seed=8)
+        assert np.array_equal(ms.omegas, ens.omegas)
+        assert np.array_equal(ms.amplitudes, ens.amplitudes)
+        assert np.array_equal(ms.phases, ens.phases[1])
+        assert ms.seed == 8
+
+    @pytest.mark.parametrize("epsilon", [0.0, EPS_CODATA, 0.09])
+    def test_coefficients_mode_by_mode(self, epsilon):
+        ens = zpf.synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 64, child_seeds(5, 3))
+        c = ens.coefficients(epsilon)
+        assert c.shape == (3, 64) and c.dtype == complex
+        for r in range(3):
+            for k in range(64):
+                a, w, phi = ens.amplitudes[k], ens.omegas[k], ens.phases[r, k]
+                boost = math.sqrt(1.0 + (epsilon * w) ** 2)
+                arg = phi + math.atan(epsilon * w)
+                assert c[r, k] == complex(a * boost * math.cos(arg), a * boost * math.sin(arg))
+
+    def test_stack_matches_synthesis(self):
+        spec = sed_drive_spectrum(EPS_CODATA)
+        seeds = child_seeds(9, 4)
+        ens = zpf.synthesize_ensemble(spec, 64, seeds)
+        stacked = ModeEnsemble.stack([synthesize_band(spec, 64, s) for s in seeds])
+        assert stacked.seeds == ens.seeds
+        assert np.array_equal(stacked.coefficients(0.02), ens.coefficients(0.02))
 
 
 class TestEvaluation:
@@ -178,6 +218,13 @@ class TestModeSumOracle:
         assert got.shape == expected.shape
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
+
+
+    @pytest.mark.parametrize("n_real", [None, 3])
+    def test_no_times_gives_empty_sum(self, n_real):
+        shape = (64,) if n_real is None else (64, n_real)
+        got = zpf.mode_sum(BAND_64, np.ones(shape), np.ones(shape), np.array([]))
+        assert got.shape == (0,) + shape[1:]
 
 
 class TestPsdEstimation:
