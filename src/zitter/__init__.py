@@ -38,12 +38,10 @@ from .dynamics import (
 from .errors import ConfigError, NumericalInstabilityError
 from .zpf import (
     ModeEnsemble,
-    ModeSet,
     SpectrumModel,
     child_seeds,
     estimate_psd,
     sed_drive_spectrum,
-    synthesize_band,
     synthesize_ensemble,
 )
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, NumericalInstabilityError
@@ -37,11 +38,19 @@ def _load_config(path: str | None) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an integer of over 4300 digits, or nested too deeply
+        raise ConfigError(f"config file {path!r} is not usable UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a single JSON object")
     return raw
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r} cannot be used as the output directory: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         scenario = validate_config(raw)
+        _make_out_dir(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

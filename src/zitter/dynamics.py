@@ -27,7 +27,7 @@ import numpy as np
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
 from .zpf import _BLOCK as _SUM_BLOCK
-from .zpf import ModeEnsemble, ModeSet, phasor_blocks, vector_potential
+from .zpf import ModeEnsemble, phasor_blocks, vector_potential
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -103,7 +103,6 @@ class FastMotionParams:
     """
 
     epsilon: float
-    drive: ModeSet | None = None
     z0: complex = 0.5 + 0.0j
     zdot0: float | None = None
 
@@ -246,7 +245,7 @@ def _transfer(lam, vec, to_mode, dt, omegas):
 
 
 class _DrivenRK4:
-    """RK4 of z'' = -z - eps*z' + D + eps*D' for mode-set drives, in closed form.
+    """RK4 of z'' = -z - eps*z' + D + eps*D' for an ensemble of drives, in closed form.
 
     The equation is linear and time-invariant and the drive is a mode sum,
     so RK4's x_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n}
@@ -257,11 +256,10 @@ class _DrivenRK4:
     c_k H_d(w_k) is formed.
     """
 
-    def __init__(self, epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
-                 t_max: float, z0: float, zdot0: float):
+    def __init__(self, epsilon: float, ens: ModeEnsemble, dt: float, t_max: float,
+                 z0: float, zdot0: float):
         _check_epsilon(epsilon)
-        ens = drives if isinstance(drives, ModeEnsemble) else ModeEnsemble.stack(drives)
-        self.dt, self.n_steps = dt, _n_steps(dt, t_max)
+        self.dt, self.n_steps = dt, step_count(dt, t_max)
         self.lam, self.vec, to_mode = _rk4_map(epsilon, dt)
         if dt * self.n_steps >= ens.t_rec:
             raise ValueError(
@@ -302,7 +300,8 @@ class _DrivenRK4:
             yield rows, slice(first + cols.start, first + cols.stop), x
 
 
-def _n_steps(dt: float, t_max: float) -> int:
+def step_count(dt: float, t_max: float) -> int:
+    """Steps of a run to t_max; the last may fall short of it by a rounding error."""
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(
             f"dt must satisfy 0 < dt <= 2*pi/40 ~= {MAX_DT:.6g} "
@@ -325,24 +324,22 @@ def _trajectories(zs: np.ndarray, vs: np.ndarray, dt: float, epsilon: float,
 
 
 def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Trajectory:
-    """Integrate the order-reduced fast-motion equation with fixed-step RK4."""
-    if params.drive is not None:
-        return integrate_ensemble(params.epsilon, [params.drive], dt, t_max,
-                                  params.initial_position, params.initial_velocity)[0]
-    n_steps = _n_steps(dt, t_max)
+    """Integrate the unforced order-reduced fast-motion equation with fixed-step RK4.
+
+    A driven single run is ``integrate_ensemble`` of a one-row ensemble.
+    """
+    n_steps = step_count(dt, t_max)
     zs, vs = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
                   dt, n_steps)
     return _trajectories(zs, vs, dt, params.epsilon, [None])[0]
 
 
-def integrate_ensemble(epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
+def integrate_ensemble(epsilon: float, drives: ModeEnsemble, dt: float,
                        t_max: float, z0: float = 0.0, zdot0: float = 0.0) -> list[Trajectory]:
-    """Integrate many driven realizations sharing one frequency grid.
+    """Integrate every realization of an ensemble of drives, each from (z0, zdot0).
 
-    ``drives`` is a ``ModeEnsemble`` or mode sets with identical mode
-    frequencies (same band, same mode count); z and z' of every realization
-    are then one mode sum each, over all step times, plus the free mode.
-    Every realization starts from (z0, zdot0).
+    z and z' of every realization are one mode sum each, over all step
+    times, plus the free mode.
     """
     run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
     zs, vs = (np.empty((len(run.coeff), run.n_steps + 1)) for _ in range(2))
@@ -360,8 +357,8 @@ def first_kept_sample(discard: float, n_samples: int) -> int:
     return int(discard * n_samples)
 
 
-def stationary_mean_z2(epsilon: float, drives: ModeEnsemble | Sequence[ModeSet], dt: float,
-                       t_max: float, discard: float) -> np.ndarray:
+def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: float,
+                       discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, without holding its trajectory.
 
     The same run as ``integrate_ensemble`` from rest, whose per-realization
@@ -438,20 +435,23 @@ def _cumulative_integral(y: np.ndarray, ydot: np.ndarray, dt: float) -> np.ndarr
     return out
 
 
-def canonical_momentum_residual(traj: Trajectory, drive: ModeSet | None,
+def canonical_momentum_residual(traj: Trajectory, drive: ModeEnsemble | None,
                                 p0: float, epsilon: float | None = None,
                                 restoring: bool = True) -> np.ndarray:
     """Residual of zdot = p(t) + eps*zddot - a(t) along a sampled trajectory.
 
     ``a`` is the scaled vector potential reconstructed term-by-term from the
-    drive modes (D = -da/dt); ``p`` integrates pdot = -z when ``restoring``
-    (the Compton restoring force) and stays constant for a free particle.
+    modes of ``drive``, a one-row ensemble (D = -da/dt); ``p`` integrates
+    pdot = -z when ``restoring`` (the Compton restoring force) and stays
+    constant for a free particle.
     A trajectory of the order-reduced equation leaves an O(eps^2) residual.
     """
     eps = traj.meta.get("epsilon", 0.0) if epsilon is None else epsilon
     dt = traj.dt
     t = traj.times
-    a = np.zeros_like(t) if drive is None else vector_potential(drive, t)
+    if drive is not None and len(drive.phases) != 1:
+        raise ValueError(f"drive must be a one-row ensemble, got {len(drive.phases)} rows")
+    a = np.zeros_like(t) if drive is None else vector_potential(drive, t)[0]
     acc = np.gradient(traj.zdot, dt, edge_order=2)
     if restoring:
         p = p0 - _cumulative_integral(traj.z, traj.zdot, dt)

@@ -54,8 +54,21 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # config validation
 
+#: largest integer parameter: counts past it are not exact as doubles, and
+#: every size check computes in doubles
+_MAX_INT = 2**53
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is an int or float that is a finite double; 10**400 is not."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _positive(key, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ConfigError(f"{key} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -80,8 +93,9 @@ def _dt(key, value):
 
 def _int_at_least(minimum):
     def check(key, value):
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
-            raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        if not (isinstance(value, int) and not isinstance(value, bool)
+                and minimum <= value <= _MAX_INT):
+            raise ConfigError(f"{key} must be an integer in [{minimum}, 2^53], got {value!r}")
         return value
     return check
 
@@ -127,7 +141,7 @@ def _fraction(key, value):
 
 
 def _number(key, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not _finite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -280,9 +294,37 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _load_chain(params):
-    fc = (constants.codata() if params.get("constants_file") is None
-          else constants.load_constants(params["constants_file"]))
-    return fc, constants.derive_constants(fc)
+    path = params.get("constants_file")
+    if path is None:
+        fc = constants.codata()
+        return fc, constants.derive_constants(fc)
+    # a missing, unreadable, non-JSON or incomplete file, a value that is not a
+    # positive finite number, or a chain that overflows or divides by zero
+    try:
+        fc = constants.load_constants(path)
+        return fc, constants.derive_constants(fc)
+    except (OSError, ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"constants_file {path!r} is unusable: {exc}") from exc
+
+
+def _implied_epsilon(dc):
+    """The epsilon the loaded constants imply, held to the range a given one must lie in."""
+    return _epsilon("epsilon implied by constants_file", dc.epsilon)
+
+
+def _recurrence_time(params) -> float:
+    """t_rec of the n_modes frequencies that synthesis will put across the band.
+
+    Computed, before anything is synthesized, from the grid's first two
+    frequencies as ``zpf.ModeEnsemble.t_rec`` computes it. A mode spacing of
+    more than 2 ulp(hi) keeps every frequency of the grid distinct.
+    """
+    lo, hi = params["band"]
+    n_modes = params["n_modes"]
+    if not (hi - lo) / (n_modes - 1) > 2.0 * math.ulp(hi):
+        raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
+                          "distinct equally spaced frequencies")
+    return zpf.recurrence_time(zpf.mode_frequencies((lo, hi), n_modes, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +403,7 @@ def _sidecar(traj, dc, extra=None):
 
 
 def _run_transient(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else dc.epsilon
+    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
     t_max = params["t_max"] if params["t_max"] is not None else 6.0 / eps
     window = params["fit_window"] if params["fit_window"] is not None else [1.0 / eps, 6.0 / eps]
     params.update(epsilon=eps, t_max=t_max, fit_window=window)
@@ -402,7 +444,7 @@ def _run_transient(sc, out, fc, dc, params):
 
 
 def _run_stationary(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else dc.epsilon
+    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
     t_max = params["t_max"] if params["t_max"] is not None else 13.0 / eps
     discard_time = (params["discard_time"] if params["discard_time"] is not None
                     else 3.0 / eps)
@@ -417,17 +459,17 @@ def _run_stationary(sc, out, fc, dc, params):
                 f"the mode coefficients, n_modes x (n_realizations + {_ROW_ARRAYS}) x "
                 f"{_COEFF_BYTES} bytes, a time block and the step times,",
                 _COEFF_BYTES, _BLOCK_BYTES + 8 * n_samples)
-    # the drive horizon check, made before the modes are synthesized
-    lo, hi = params["band"]
-    t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (hi - lo)
-    t_end = params["dt"] * math.ceil(t_max / params["dt"] - 1e-9)
+    # the drive horizon check of dynamics.integrate_ensemble, made before synthesis
+    t_rec = _recurrence_time(params)
+    t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)
     if t_end >= t_rec:
         raise ConfigError(
             f"t_max {t_max:.6g} reaches the recurrence time t_rec = {t_rec:.6g} of "
             f"n_modes {params['n_modes']} over the band {params['band']}; "
             "raise n_modes or lower t_max"
         )
-    drives = zpf.synthesize_ensemble(zpf.sed_drive_spectrum(eps, (lo, hi)), params["n_modes"],
+    drives = zpf.synthesize_ensemble(zpf.sed_drive_spectrum(eps, tuple(params["band"])),
+                                     params["n_modes"],
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
     stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
         eps, drives, params["dt"], t_max, discard_time / t_max))
@@ -512,7 +554,7 @@ def _run_sweep(sc, out, fc, dc, params):
 
 
 def _run_psd_check(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else dc.epsilon
+    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
     params.update(epsilon=eps)
     band = (params["band"][0], params["band"][1])
     sample_dt = params["sample_dt"]
@@ -526,21 +568,21 @@ def _run_psd_check(sc, out, fc, dc, params):
         raise ConfigError(f"no Welch bin of width 2 pi / (segment_len sample_dt) = "
                           f"{bin_width:.6g} lies {margin_bins} bins inside the band {list(band)}; "
                           "raise segment_len")
-    t_rec = 2.0 * math.pi * (params["n_modes"] - 1) / (band[1] - band[0])
-    _check_size(t_rec / sample_dt * params["n_realizations"],
-                "the field series of t_rec / sample_dt samples x n_realizations, with "
-                "t_rec = 2 pi (n_modes - 1) / band width,")
     _check_size(params["n_modes"] * params["n_realizations"],
                 "the mode coefficients, n_modes x n_realizations,")
-    spectrum = zpf.sed_drive_spectrum(eps, band)
-    fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
-                                     zpf.child_seeds(sc.seed, params["n_realizations"]))
-    n_samples = int(fields.t_rec / sample_dt)
+    t_rec = _recurrence_time(params)
+    _check_size(t_rec / sample_dt * params["n_realizations"],
+                "the field series of t_rec / sample_dt samples x n_realizations, with "
+                "t_rec = 2 pi / mode spacing of n_modes across the band,")
+    n_samples = int(t_rec / sample_dt)
     if params["segment_len"] > n_samples:
         raise ConfigError(
             f"segment_len {params['segment_len']} exceeds the {n_samples} samples per "
             f"realization (t_rec / sample_dt)"
         )
+    spectrum = zpf.sed_drive_spectrum(eps, band)
+    fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
+                                     zpf.child_seeds(sc.seed, params["n_realizations"]))
     series = zpf.phasor_sum(fields.omegas, fields.coefficients(),
                             sample_dt * np.arange(n_samples))
 
@@ -583,11 +625,11 @@ _RUNNERS = {
 
 def run_scenario(sc: Scenario, out_dir: str) -> dict:
     """Run a validated scenario, writing outputs and a reproducibility manifest."""
-    os.makedirs(out_dir, exist_ok=True)
     fc, dc = _load_chain(sc.params)
     params = dict(sc.params)
     if sc.name == "roots" and params["epsilons"] is None:
-        params["epsilons"] = [1e-3, dc.epsilon, 1e-2]
+        params["epsilons"] = [1e-3, _implied_epsilon(dc), 1e-2]
+    os.makedirs(out_dir, exist_ok=True)
     summary = _RUNNERS[sc.name](sc, out_dir, fc, dc, params)
     # written after the run so resolved (run-time) defaults are captured
     _write_json(os.path.join(out_dir, "manifest.json"),

@@ -57,54 +57,33 @@ def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -
     return SpectrumModel(psd=psd, band_lo=band[0], band_hi=band[1])
 
 
-class _ModeGrid:
-    """Checks and recurrence time shared by one realization and an ensemble of them."""
+def mode_frequencies(band, n_modes: int, count: int | None = None) -> np.ndarray:
+    """The first ``count`` (all by default) of n_modes equally spaced frequencies across ``band``.
 
-    def __post_init__(self) -> None:
-        n = len(self.omegas)
-        if n < 2:
-            raise ValueError(f"a mode set needs at least 2 modes, got {n}")
-        if np.shape(self.amplitudes)[-1] != n or np.shape(self.phases)[-1] != n:
-            raise ValueError("omegas, amplitudes and phases must have equal length")
-        if not np.all(np.diff(self.omegas) > 0.0):
-            raise ValueError("mode frequencies must be strictly increasing")
+    They are ``numpy.linspace(lo, hi, n_modes)``'s values,
+    k (hi - lo) / (n_modes - 1) + lo with the last one hi, so a prefix comes
+    without building the rest.
+    """
+    lo, hi = band
+    count = n_modes if count is None else min(count, n_modes)
+    omegas = np.arange(count) * ((hi - lo) / (n_modes - 1)) + lo
+    if count == n_modes:
+        omegas[-1] = hi
+    return omegas
 
-    @property
-    def delta_omega(self) -> float:
-        return float(self.omegas[1] - self.omegas[0])
 
-    @property
-    def t_rec(self) -> float:
-        """Recurrence time 2*pi/d_omega; statistics are invalid beyond it."""
-        return 2.0 * math.pi / self.delta_omega
+def recurrence_time(omegas: np.ndarray) -> float:
+    """2*pi / (w_1 - w_0): a mode sum on an equally spaced grid repeats after it."""
+    return 2.0 * math.pi / float(omegas[1] - omegas[0])
 
 
 @dataclass(frozen=True)
-class ModeSet(_ModeGrid):
-    """Frequencies, amplitudes and phases of one synthesized realization."""
+class ModeEnsemble:
+    """R >= 1 realizations on one frequency grid, held realization-major.
 
-    omegas: np.ndarray
-    amplitudes: np.ndarray
-    phases: np.ndarray
-    seed: int
-
-    def scaled(self, amplitude_factor: float) -> "ModeSet":
-        """Same realization with every amplitude multiplied by ``amplitude_factor``."""
-        return ModeSet(
-            omegas=self.omegas,
-            amplitudes=self.amplitudes * amplitude_factor,
-            phases=self.phases,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class ModeEnsemble(_ModeGrid):
-    """R realizations on one frequency grid, held realization-major.
-
-    ``omegas`` has shape (K,) and ``phases`` (R, K); ``amplitudes`` is (K,)
-    when the realizations share their spectrum, as synthesized ones do, and
-    (R, K) otherwise.
+    ``omegas`` has shape (K,), K >= 2, and ``phases`` (R, K); ``amplitudes``
+    is (K,) when the realizations share their spectrum, as synthesized ones
+    do, and (R, K) otherwise.
     """
 
     omegas: np.ndarray
@@ -112,19 +91,22 @@ class ModeEnsemble(_ModeGrid):
     phases: np.ndarray
     seeds: tuple
 
-    @classmethod
-    def stack(cls, mode_sets: Sequence[ModeSet]) -> "ModeEnsemble":
-        """The ensemble of mode sets that share their frequencies."""
-        if not mode_sets:
-            raise ValueError("at least one mode set is required")
-        omegas = mode_sets[0].omegas
-        for ms in mode_sets[1:]:
-            if not np.array_equal(ms.omegas, omegas):
-                raise ValueError("all mode sets must share the same mode frequencies")
-        return cls(omegas=omegas,
-                   amplitudes=np.stack([ms.amplitudes for ms in mode_sets]),
-                   phases=np.stack([ms.phases for ms in mode_sets]),
-                   seeds=tuple(ms.seed for ms in mode_sets))
+    def __post_init__(self) -> None:
+        n = len(self.omegas)
+        if n < 2:
+            raise ValueError(f"a mode grid needs at least 2 modes, got {n}")
+        if np.ndim(self.phases) != 2 or len(self.phases) < 1:
+            raise ValueError(f"phases must be (R, K) with at least one realization, "
+                             f"got shape {np.shape(self.phases)}")
+        if np.shape(self.amplitudes)[-1] != n or np.shape(self.phases)[-1] != n:
+            raise ValueError("omegas, amplitudes and phases must have equal length")
+        if not np.all(np.diff(self.omegas) > 0.0):
+            raise ValueError("mode frequencies must be strictly increasing")
+
+    @property
+    def t_rec(self) -> float:
+        """Recurrence time 2*pi/d_omega; statistics are invalid beyond it."""
+        return recurrence_time(self.omegas)
 
     def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
         """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
@@ -161,7 +143,7 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
     """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    omegas = np.linspace(spec.band_lo, spec.band_hi, n_modes)
+    omegas = mode_frequencies((spec.band_lo, spec.band_hi), n_modes)
     psd_values = np.asarray(spec.psd(omegas), dtype=float)
     if np.any(psd_values < 0.0) or not np.all(np.isfinite(psd_values)):
         raise ValueError("spectral density must be finite and non-negative on the band")
@@ -172,13 +154,6 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
         row[:] = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_modes)
     return ModeEnsemble(omegas=omegas, amplitudes=amplitudes, phases=phases,
                         seeds=tuple(int(s) for s in seeds))
-
-
-def synthesize_band(spec: SpectrumModel, n_modes: int, seed: int) -> ModeSet:
-    """One realization of ``synthesize_ensemble``."""
-    ens = synthesize_ensemble(spec, n_modes, [seed])
-    return ModeSet(omegas=ens.omegas, amplitudes=ens.amplitudes, phases=ens.phases[0],
-                   seed=ens.seeds[0])
 
 
 #: time samples per block of a mode sum; bounds its working memory
@@ -331,34 +306,20 @@ def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
     return out if np.ndim(coeff) == 2 else out[0]
 
 
-def mode_sum(omegas: np.ndarray, cos_coeff: np.ndarray, sin_coeff: np.ndarray,
-             times: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)] on a set of times.
+def vector_potential(ens: ModeEnsemble, t) -> np.ndarray:
+    """Antiderivative a(t) with E = -da/dt, term by term (zero mean choice), shape (R, N).
 
-    The real form of ``phasor_sum``, with c_k = cc_k - i sc_k.
-    ``cos_coeff``/``sin_coeff`` may be 1-D ``(K,)`` or 2-D ``(K, R)``; the
-    result has shape ``(N,)`` or ``(N, R)`` and is stored realization-major,
-    so each column is contiguous.
+    a = -sum_k (A_k/w_k) sin(w_k t + phi_k) = Re sum_k c_k e^{i w_k t} with
+    c_k = i (A_k/w_k) e^{i phi_k}.
     """
-    return phasor_sum(omegas, np.transpose(cos_coeff - 1j * sin_coeff), times).T
-
-
-def _check_horizon(ms: ModeSet, t: np.ndarray) -> None:
-    if np.any(t < 0.0) or np.any(t >= ms.t_rec):
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t_arr < 0.0) or np.any(t_arr >= ens.t_rec):
         raise ValueError(
-            f"evaluation times must lie in [0, t_rec={ms.t_rec:.6g}) to avoid "
+            f"evaluation times must lie in [0, t_rec={ens.t_rec:.6g}) to avoid "
             "recurrence artifacts"
         )
-
-
-def vector_potential(ms: ModeSet, t) -> np.ndarray:
-    """Antiderivative a(t) with E = -da/dt, term-by-term (zero mean choice)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_horizon(ms, t_arr)
-    aw = ms.amplitudes / ms.omegas
-    # a = -sum (A/w) sin(w t + phi)
-    out = mode_sum(ms.omegas, -aw * np.sin(ms.phases), -aw * np.cos(ms.phases), t_arr)
-    return float(out[0]) if (np.isscalar(t) or np.ndim(t) == 0) else out
+    coeff = 1j * (ens.amplitudes / ens.omegas) * np.exp(1j * ens.phases)
+    return phasor_sum(ens.omegas, coeff, t_arr)
 
 
 def estimate_psd(values: Sequence[float], dt: float, segment_len: int,

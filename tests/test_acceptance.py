@@ -24,7 +24,7 @@ from zitter import (
     dirac_velocity,
     dynamics,
     sed_drive_spectrum,
-    synthesize_band,
+    synthesize_ensemble,
 )
 from zitter.cli import main
 from zitter.scenarios import run_scenario, validate_config
@@ -110,7 +110,7 @@ def test_criterion_5_stationary_amplitude():
         assert err < 1e-8
         assert oracle == pytest.approx(0.5, rel=0.02)  # band carries ~99% of the line
 
-        drives = [synthesize_band(spec, 2000, s) for s in child_seeds(20260823, 100)]
+        drives = synthesize_ensemble(spec, 2000, child_seeds(20260823, 100))
         t_max = 13.0 / eps
         stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
             eps, drives, DT, t_max, (3.0 / eps) / t_max))

@@ -222,6 +222,62 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        # not UTF-8, an integer of more digits than int() converts, nested too deeply
+        for content in (b'\xff\xfe{"scenario": "constants"}',
+                        b'{"scenario": "constants", "seed": ' + b"1" * 5000 + b"}",
+                        b"[" * 100_000):
+            bad.write_bytes(content)
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("scenario", ["constants", "roots", "transient", "stationary",
+                                          "dirac", "sweep-epsilon", "psd-check"])
+    @pytest.mark.parametrize("content", [
+        None, b"", b"{not json", b"\xff\xfe", b"[1, 2]",
+        json.dumps({"e_statC": 4.8e-10}).encode(),
+        # a value that is not a positive finite double
+        json.dumps({"e_statC": 10**400, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
+        json.dumps({"e_statC": "one", "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
+        # e^2 underflows to 0, so T_tr = 2 / Gamma divides by zero; c^3 overflows
+        json.dumps({"e_statC": 1e-200, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
+        json.dumps({"e_statC": 1, "m_g": 1, "c_cm_per_s": 1e200, "hbar_erg_s": 1}).encode(),
+    ], ids=["missing", "empty", "not-json", "not-utf8", "array", "missing-keys",
+            "huge-integer", "text-value", "underflow", "overflow"])
+    def test_unusable_constants_file_returns_2(self, tmp_path, capsys, scenario, content):
+        constants_file = tmp_path / "constants.json"
+        if content is not None:
+            constants_file.write_bytes(content)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": scenario,
+                                    "params": {"constants_file": str(constants_file)}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "constants_file" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("scenario", ["roots", "transient", "stationary", "psd-check"])
+    def test_constants_implying_unusable_epsilon_return_2(self, tmp_path, capsys, scenario):
+        # all four constants 1 give epsilon = 2/3, which a given epsilon may not be
+        constants_file = tmp_path / "constants.json"
+        constants_file.write_text(json.dumps(
+            {"e_statC": 1, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": scenario,
+                                    "params": {"constants_file": str(constants_file)}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "constants_file" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unusable_out_returns_2(self, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        for out in (a_file, a_file / "sub"):
+            assert main(["run", "--scenario", "constants", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "--out" in err
+        assert a_file.read_text() == ""
 
     def test_invalid_params_return_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -268,6 +324,25 @@ class TestExitCodes:
         # 2 Re z0 and -eps Re z0 - 2 Im z0 overflow to infinity
         ({"scenario": "transient", "params": {"z0_im": 1e308}}, "z0_im"),
         ({"scenario": "transient", "params": {"z0_re": 9e307}}, "z0_re"),
+        # the last of 9,901 steps lands at t_rec 1555.0883635269424 of the mode
+        # grid, just under 2 pi (n_modes - 1) / band width = 1555.0883635269429
+        ({"scenario": "stationary", "params": {
+            "n_modes": 100, "band": [0.8, 1.2], "t_max": 1555.0883635269429,
+            "dt": 0.15706376765245358, "n_realizations": 2}}, "n_modes"),
+        # a mode spacing of 5e-17, below the doubles' spacing near 1: the grid's
+        # frequencies are not distinct
+        ({"scenario": "stationary", "params": {"band": [1.0, 1.0000000000001],
+                                               "n_realizations": 2}}, "n_modes"),
+        # integers past the double range
+        ({"scenario": "transient", "params": {"t_max": 10**400}}, "t_max"),
+        ({"scenario": "transient", "params": {"dt": 10**400}}, "dt"),
+        ({"scenario": "transient", "params": {"z0_re": 10**400}}, "z0_re"),
+        ({"scenario": "stationary", "params": {"discard_time": 10**400}}, "discard_time"),
+        ({"scenario": "psd-check", "params": {"n_modes": 10**400}}, "n_modes"),
+        ({"scenario": "dirac", "params": {"momentum": 10**400}}, "momentum"),
+        ({"scenario": "roots", "params": {"epsilons": [10**400]}}, "epsilons[0]"),
+        ({"scenario": "psd-check", "params": {"segment_len": 10**400}}, "segment_len"),
+        ({"scenario": "dirac", "params": {"n_samples": 10**400}}, "n_samples"),
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
             "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
             "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy",
@@ -278,7 +353,11 @@ class TestExitCodes:
             "psd-too-many-modes",
             "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
             "roots-epsilon-too-small", "transient-infinite-velocity",
-            "transient-infinite-position"])
+            "transient-infinite-position", "stationary-horizon-rounding",
+            "stationary-band-too-narrow", "transient-huge-t-max", "transient-huge-dt",
+            "transient-huge-z0", "stationary-huge-discard-time", "psd-huge-n-modes",
+            "dirac-huge-momentum", "roots-huge-epsilon", "psd-huge-segment-len",
+            "dirac-huge-n-samples"])
     def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

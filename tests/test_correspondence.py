@@ -1,14 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from zitter.dynamics import (
-    FastMotionParams,
     Trajectory,
     canonical_momentum_residual,
-    integrate_transient,
+    integrate_ensemble,
 )
-from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
+from zitter.zpf import ModeEnsemble, sed_drive_spectrum, synthesize_ensemble
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 
@@ -28,9 +28,9 @@ class TestCanonicalMomentum:
         # steady-state solution of the integrated equation under one cosine
         # drive; the conservation-law residual is O(eps^2) by construction
         eps, amp, w, phi = 1e-3, 0.05, 0.9, 0.4
-        ms = ModeSet(omegas=np.array([w, w + 1e-3]),
-                     amplitudes=np.array([amp, 0.0]),
-                     phases=np.array([phi, 0.0]), seed=0)
+        ms = ModeEnsemble(omegas=np.array([w, w + 1e-3]),
+                          amplitudes=np.array([amp, 0.0]),
+                          phases=np.array([[phi, 0.0]]), seeds=(0,))
         gain = amp * (1.0 + 1j * eps * w) / (1.0 - w**2 + 1j * eps * w)
         dt = 0.02
         t = dt * np.arange(5001)
@@ -44,14 +44,18 @@ class TestCanonicalMomentum:
 
     def test_integrated_trajectory_residual_is_small(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        drive = synthesize_band(spec, 400, seed=5)
-        params = FastMotionParams(epsilon=EPS_CODATA, drive=drive,
-                                  z0=0.0 + 0.0j, zdot0=0.0)
+        drive = synthesize_ensemble(spec, 400, [5])
         dt = 2.0 * math.pi / 400.0
-        traj = integrate_transient(params, dt, 400.0)
+        traj = integrate_ensemble(EPS_CODATA, drive, dt, 400.0)[0]
         r = canonical_momentum_residual(traj, drive, p0=0.0)
         r -= r[0]
         assert np.max(np.abs(r)) <= 1e-3 * np.max(np.abs(traj.zdot))
+
+    def test_drive_of_several_realizations_rejected(self):
+        drive = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 16, [1, 2])
+        traj = integrate_ensemble(EPS_CODATA, drive, 0.05, 5.0)[0]
+        with pytest.raises(ValueError, match="one-row"):
+            canonical_momentum_residual(traj, drive, p0=0.0)
 
     def test_epsilon_override_beats_meta(self):
         dt = 0.05

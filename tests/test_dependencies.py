@@ -1,10 +1,12 @@
 """The package runs on the standard library and numpy alone.
 
 scipy is a test-only dependency: the suite uses it as an independent oracle
-(``integrate.quad``, ``signal.welch``), and the ``test`` extra installs it.
+(``integrate.quad``, ``signal.welch``), and the ``test`` extra installs it,
+with every other package the suite imports.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +14,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 RUNTIME_PACKAGES = {"numpy", "zitter"}
+#: standard library from Python 3.11; on 3.10 the suite skips what needs it
+NEWER_STDLIB = {"tomllib"}
 
 
 def imported_packages(path):
@@ -32,12 +36,26 @@ def test_source_imports_only_stdlib_and_numpy(path):
     assert foreign == set()
 
 
-def test_project_depends_on_numpy_only():
+def load_project():
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(REPO / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
+        return tomllib.load(fh)["project"]
+
+
+def test_project_depends_on_numpy_only():
+    project = load_project()
     assert project["dependencies"] == ["numpy>=2.0"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_test_extra_lists_what_the_suite_imports():
+    listed = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+              for dep in load_project()["optional-dependencies"]["test"]}
+    imported = set().union(*(imported_packages(path)
+                             for path in sorted((REPO / "tests").glob("*.py"))))
+    foreign = imported - RUNTIME_PACKAGES - NEWER_STDLIB - set(sys.stdlib_module_names)
+    assert {"hypothesis", "pytest", "scipy"} <= foreign  # the parse finds the suite's imports
+    assert foreign <= listed

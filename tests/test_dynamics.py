@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from zitter.dynamics import (
     transient_envelope,
 )
 from zitter.analysis import ensemble_stationary_variance, ensemble_stats
-from zitter.zpf import ModeSet, sed_drive_spectrum, synthesize_band
+from zitter.zpf import ModeEnsemble, sed_drive_spectrum, synthesize_ensemble
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 DT = 2.0 * math.pi / 200.0
@@ -112,30 +113,20 @@ class TestUnforcedIntegration:
 class TestDrivenIntegration:
     def test_linearity_in_drive_amplitude(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 64, seed=3)
-        base = FastMotionParams(epsilon=EPS_CODATA, drive=ms,
-                                z0=0.0 + 0.0j, zdot0=0.0)
-        double = FastMotionParams(epsilon=EPS_CODATA,
-                                  drive=ms.scaled(2.0),
-                                  z0=0.0 + 0.0j, zdot0=0.0)
-        ta = integrate_transient(base, DT, 200.0)
-        tb = integrate_transient(double, DT, 200.0)
+        ms = synthesize_ensemble(spec, 64, [3])
+        double = dataclasses.replace(ms, amplitudes=2.0 * ms.amplitudes)
+        ta = integrate_ensemble(EPS_CODATA, ms, DT, 200.0)[0]
+        tb = integrate_ensemble(EPS_CODATA, double, DT, 200.0)[0]
         assert np.max(np.abs(tb.z - 2.0 * ta.z)) < 1e-8 * np.max(np.abs(ta.z))
 
     def test_superposition_of_two_drives(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        m1 = synthesize_band(spec, 32, seed=4)
-        m2 = ModeSet(omegas=m1.omegas, amplitudes=m1.amplitudes[::-1].copy(),
-                     phases=m1.phases, seed=4)
-        combined = ModeSet(omegas=m1.omegas,
-                           amplitudes=m1.amplitudes + m2.amplitudes,
-                           phases=m1.phases, seed=4)
+        m1 = synthesize_ensemble(spec, 32, [4])
+        m2 = dataclasses.replace(m1, amplitudes=m1.amplitudes[::-1].copy())
+        combined = dataclasses.replace(m1, amplitudes=m1.amplitudes + m2.amplitudes)
 
         def run(modes):
-            params = FastMotionParams(epsilon=EPS_CODATA,
-                                      drive=modes,
-                                      z0=0.0 + 0.0j, zdot0=0.0)
-            return integrate_transient(params, DT, 150.0)
+            return integrate_ensemble(EPS_CODATA, modes, DT, 150.0)[0]
 
         za = run(m1).z + run(m2).z
         zc = run(combined).z
@@ -145,56 +136,43 @@ class TestDrivenIntegration:
         # steady response to A cos(t): amplitude A*sqrt(1+eps^2)/eps at resonance
         eps = 0.02
         amp = 1e-3
-        ms = ModeSet(omegas=np.array([1.0, 1.0 + 1e-4]),
-                     amplitudes=np.array([amp, 0.0]),
-                     phases=np.array([0.0, 0.0]), seed=0)
-        params = FastMotionParams(epsilon=eps, drive=ms,
-                                  z0=0.0 + 0.0j, zdot0=0.0)
-        traj = integrate_transient(params, DT, 12.0 / eps)
+        ms = ModeEnsemble(omegas=np.array([1.0, 1.0 + 1e-4]),
+                          amplitudes=np.array([amp, 0.0]),
+                          phases=np.array([[0.0, 0.0]]), seeds=(0,))
+        traj = integrate_ensemble(eps, ms, DT, 12.0 / eps)[0]
         tail = traj.z[traj.times > 10.0 / eps]
         expected = amp * math.sqrt(1.0 + eps**2) / eps
         assert np.max(np.abs(tail)) == pytest.approx(expected, rel=2e-2)
 
     def test_horizon_guard(self):
-        ms = ModeSet(omegas=np.array([1.0, 1.5]), amplitudes=np.array([1.0, 1.0]),
-                     phases=np.array([0.0, 0.0]), seed=0)  # t_rec = 4*pi
-        params = FastMotionParams(epsilon=0.01, drive=ms)
+        ms = ModeEnsemble(omegas=np.array([1.0, 1.5]), amplitudes=np.array([1.0, 1.0]),
+                          phases=np.array([[0.0, 0.0]]), seeds=(0,))  # t_rec = 4*pi
         with pytest.raises(ValueError, match="horizon"):
-            integrate_transient(params, DT, 20.0)
+            integrate_ensemble(0.01, ms, DT, 20.0)
 
 
 class TestEnsemble:
     def test_matches_single_integration(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        drives = [synthesize_band(spec, 64, seed=s)
-                  for s in (11, 12, 13)]
-        trajs = integrate_ensemble(EPS_CODATA, drives, DT, 150.0)
-        for drive, traj in zip(drives, trajs):
-            params = FastMotionParams(epsilon=EPS_CODATA, drive=drive,
-                                      z0=0.0 + 0.0j, zdot0=0.0)
-            single = integrate_transient(params, DT, 150.0)
+        seeds = (11, 12, 13)
+        trajs = integrate_ensemble(EPS_CODATA, synthesize_ensemble(spec, 64, seeds), DT, 150.0)
+        for seed, traj in zip(seeds, trajs):
+            single = integrate_ensemble(EPS_CODATA, synthesize_ensemble(spec, 64, [seed]),
+                                        DT, 150.0)[0]
             assert np.allclose(traj.z, single.z, atol=1e-12)
             assert np.allclose(traj.zdot, single.zdot, atol=1e-12)
-            assert traj.meta["seed"] == drive.seed
+            assert traj.meta["seed"] == seed
             assert traj.z.base is trajs[0].z.base  # row views of one array, no copies
 
-    def test_mismatched_frequencies_rejected(self):
-        spec_a = sed_drive_spectrum(EPS_CODATA, band=(0.8, 1.2))
-        spec_b = sed_drive_spectrum(EPS_CODATA, band=(0.7, 1.3))
-        drives = [synthesize_band(spec_a, 32, seed=1),
-                  synthesize_band(spec_b, 32, seed=2)]
-        with pytest.raises(ValueError, match="frequencies"):
-            integrate_ensemble(EPS_CODATA, drives, DT, 50.0)
-
     def test_empty_ensemble_rejected(self):
+        omegas = np.linspace(0.8, 1.2, 4)
         with pytest.raises(ValueError, match="at least one"):
-            integrate_ensemble(EPS_CODATA, [], DT, 50.0)
+            ModeEnsemble(omegas, np.ones(4), np.empty((0, 4)), ())
 
     def test_horizon_guard(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        drives = [synthesize_band(spec, 16, seed=1)]
+        drives = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 16, [1])
         with pytest.raises(ValueError, match="horizon"):
-            integrate_ensemble(EPS_CODATA, drives, DT, 10.0 * drives[0].t_rec)
+            integrate_ensemble(EPS_CODATA, drives, DT, 10.0 * drives.t_rec)
 
 
 class TestStreamedStatistic:
@@ -204,7 +182,7 @@ class TestStreamedStatistic:
         # discard 0 and 13,370 at 0.3, each ending in a partial time block
         eps, n_real, t_max = 0.02, dynamics._STREAM_GROUP + 3, 600.0
         spec = sed_drive_spectrum(eps)
-        drives = [synthesize_band(spec, 64, seed=s) for s in range(n_real)]
+        drives = synthesize_ensemble(spec, 64, range(n_real))
         trajs = integrate_ensemble(eps, drives, DT, t_max)
         streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard)
         first = dynamics.first_kept_sample(discard, len(trajs[0].z))
@@ -220,19 +198,19 @@ class TestStreamedStatistic:
         assert stats.stderr == pytest.approx(whole.stderr, rel=1e-12, abs=0.0)
 
     def test_discard_fraction_guard(self):
-        drives = [synthesize_band(sed_drive_spectrum(0.02), 64, seed=s) for s in (1, 2)]
+        drives = synthesize_ensemble(sed_drive_spectrum(0.02), 64, [1, 2])
         with pytest.raises(ValueError, match="discard"):
             dynamics.stationary_mean_z2(0.02, drives, DT, 100.0, 1.0)
 
     def test_horizon_guard(self):
-        drives = [synthesize_band(sed_drive_spectrum(0.02), 16, seed=s) for s in (1, 2)]
+        drives = synthesize_ensemble(sed_drive_spectrum(0.02), 16, [1, 2])
         with pytest.raises(ValueError, match="horizon"):
-            dynamics.stationary_mean_z2(0.02, drives, DT, 2.0 * drives[0].t_rec, 0.5)
+            dynamics.stationary_mean_z2(0.02, drives, DT, 2.0 * drives.t_rec, 0.5)
 
 
 class TestTransferError:
     def test_small_at_default_step_and_fourth_order(self):
-        omegas = synthesize_band(sed_drive_spectrum(EPS_CODATA), 2000, seed=1).omegas
+        omegas = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 2000, [1]).omegas
         err = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT, omegas)
         half = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT / 2.0, omegas)
         assert err < 1e-5
@@ -279,18 +257,20 @@ class TestIntegratorOracle:
     def check_forced(eps, dt, n_steps):
         # several blocks of the free mode, the last one partial
         assert n_steps + 1 > dynamics._BLOCK and (n_steps + 1) % dynamics._BLOCK != 0
-        # irregular frequencies, so mode_sum takes its direct path; the first
+        # irregular frequencies, so phasor_sum takes its direct path; the first
         # gap sets t_rec = 2 pi / 1e-4, past every run here
         omegas = np.array([0.93, 0.9301, 1.0, 1.12])
-        drives = [ModeSet(omegas=omegas, amplitudes=np.array(a), phases=np.array(p), seed=i)
-                  for i, (a, p) in enumerate([((0.02, 0.0, 0.01, 0.005), (1.1, 0.0, 0.0, -2.0)),
-                                              ((0.0, 0.003, 0.01, 0.0), (0.0, 2.5, 0.7, 0.0)),
-                                              ((0.005, 0.0, 0.0, 0.02), (-2.0, 0.0, 0.0, 1.1))])]
+        amplitudes = np.array([(0.02, 0.0, 0.01, 0.005),
+                               (0.0, 0.003, 0.01, 0.0),
+                               (0.005, 0.0, 0.0, 0.02)])
+        phases = np.array([(1.1, 0.0, 0.0, -2.0), (0.0, 2.5, 0.7, 0.0), (-2.0, 0.0, 0.0, 1.1)])
+        drives = ModeEnsemble(omegas=omegas, amplitudes=amplitudes, phases=phases,
+                              seeds=(0, 1, 2))
         # the order-reduced forcing D + eps*D' on the half-step grid, mode by mode
         t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
         g = np.stack([sum(a * (np.cos(w * t_half + p) - eps * w * np.sin(w * t_half + p))
-                          for a, w, p in zip(d.amplitudes, d.omegas, d.phases))
-                      for d in drives], axis=1)
+                          for a, w, p in zip(amps, omegas, phis))
+                      for amps, phis in zip(amplitudes, phases)], axis=1)
         trajs = integrate_ensemble(eps, drives, dt, n_steps * dt, 0.3, -0.2)
         zs = np.array([t.z for t in trajs])
         vs = np.array([t.zdot for t in trajs])
@@ -322,8 +302,8 @@ class TestIntegratorOracle:
         # H(w) = (1 + i eps w)/(1 - w^2 + i eps w), plus the damped homogeneous
         # solution that matches z(0) and z'(0)
         eps, amp, w, phi, z0, v0, t_max = 0.01, 0.05, 0.9, 0.4, 0.3, -0.1, 50.0
-        ms = ModeSet(omegas=np.array([w, w + 1e-3]), amplitudes=np.array([amp, 0.0]),
-                     phases=np.array([phi, 0.0]), seed=0)
+        ms = ModeEnsemble(omegas=np.array([w, w + 1e-3]), amplitudes=np.array([amp, 0.0]),
+                          phases=np.array([[phi, 0.0]]), seeds=(0,))
         gain = amp * np.exp(1j * phi) * (1.0 + 1j * eps * w) / (1.0 - w**2 + 1j * eps * w)
         wd = math.sqrt(1.0 - eps**2 / 4.0)
         c1 = z0 - gain.real
@@ -334,8 +314,7 @@ class TestIntegratorOracle:
                     + np.exp(-0.5 * eps * t) * (c1 * np.cos(wd * t) + c2 * np.sin(wd * t)))
 
         def max_err(h):
-            params = FastMotionParams(epsilon=eps, drive=ms, z0=0.5 * z0 + 0j, zdot0=v0)
-            traj = integrate_transient(params, h, t_max)
+            traj = integrate_ensemble(eps, ms, h, t_max, z0, v0)[0]
             return np.max(np.abs(traj.z - exact(traj.times)))
 
         h = 2.0 * math.pi / 50.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,82 +7,82 @@ import pytest
 from zitter import zpf
 from zitter.zpf import (
     ModeEnsemble,
-    ModeSet,
     SpectrumModel,
     child_seeds,
     estimate_psd,
     phasor_sum,
     sed_drive_spectrum,
-    synthesize_band,
+    synthesize_ensemble,
     vector_potential,
 )
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 
 
-def drive(ms, t, epsilon=0.0):
-    """E + eps*E' of one mode set at the times t, on the integrator's drive path."""
-    return phasor_sum(ms.omegas, ModeEnsemble.stack([ms]).coefficients(epsilon), t)[0]
+def drive(ens, t, epsilon=0.0):
+    """E + eps*E' of a one-row ensemble at the times t, on the integrator's drive path."""
+    return phasor_sum(ens.omegas, ens.coefficients(epsilon), t)[0]
 
 
 def single_mode(amplitude=1.0, omega=1.0, phase=0.0, spacing=1e-3):
-    """One active mode plus a silent companion (ModeSet needs >= 2 modes)."""
-    return ModeSet(
+    """One active mode plus a silent companion (an ensemble needs >= 2 modes)."""
+    return ModeEnsemble(
         omegas=np.array([omega, omega + spacing]),
         amplitudes=np.array([amplitude, 0.0]),
-        phases=np.array([phase, 0.0]),
-        seed=0,
+        phases=np.array([[phase, 0.0]]),
+        seeds=(0,),
     )
 
 
 class TestSynthesis:
     def test_zero_spectrum_gives_zero_field(self):
         spec = SpectrumModel(psd=lambda w: np.zeros_like(w), band_lo=0.8, band_hi=1.2)
-        ms = synthesize_band(spec, 64, seed=3)
+        ms = synthesize_ensemble(spec, 64, [3])
         assert np.all(ms.amplitudes == 0.0)
         t = np.linspace(0.0, ms.t_rec * 0.9, 100)
         assert np.all(drive(ms, t) == 0.0)
 
     def test_same_seed_is_bit_identical(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        a = synthesize_band(spec, 128, seed=99)
-        b = synthesize_band(spec, 128, seed=99)
+        a = synthesize_ensemble(spec, 128, [99])
+        b = synthesize_ensemble(spec, 128, [99])
         assert np.array_equal(a.phases, b.phases)
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.array_equal(a.omegas, b.omegas)
 
     def test_different_seeds_differ(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        a = synthesize_band(spec, 128, seed=1)
-        b = synthesize_band(spec, 128, seed=2)
+        a = synthesize_ensemble(spec, 128, [1])
+        b = synthesize_ensemble(spec, 128, [2])
         assert not np.array_equal(a.phases, b.phases)
 
     def test_construction_identity(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 256, seed=5)
+        ms = synthesize_ensemble(spec, 256, [5])
         target = np.asarray(spec.psd(ms.omegas))
-        assert np.max(np.abs(ms.amplitudes**2 / (2.0 * ms.delta_omega) / target - 1.0)) < 1e-12
+        d_omega = ms.omegas[1] - ms.omegas[0]
+        assert np.max(np.abs(ms.amplitudes**2 / (2.0 * d_omega) / target - 1.0)) < 1e-12
 
     def test_parseval_time_average(self):
         # direct summation oracle vs long-time average over one recurrence
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 400, seed=7)
+        ms = synthesize_ensemble(spec, 400, [7])
         t = np.arange(int(ms.t_rec / 0.5)) * 0.5
         e = drive(ms, t)
         assert np.mean(e**2) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
     def test_amplitude_scaling_is_quadratic_in_variance(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 64, seed=11)
+        ms = synthesize_ensemble(spec, 64, [11])
         t = np.arange(int(ms.t_rec / 0.7)) * 0.7
         base = drive(ms, t)
-        scaled = drive(ms.scaled(3.0), t)
+        scaled = drive(dataclasses.replace(ms, amplitudes=3.0 * ms.amplitudes), t)
         assert np.var(scaled) == pytest.approx(9.0 * np.var(base), rel=1e-12)
 
     def test_too_few_modes_rejected(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         with pytest.raises(ValueError, match="n_modes"):
-            synthesize_band(spec, 1, seed=0)
+            synthesize_ensemble(spec, 1, [0])
 
     def test_nonpositive_band_rejected(self):
         with pytest.raises(ValueError, match="band"):
@@ -92,7 +93,7 @@ class TestSynthesis:
     def test_negative_psd_rejected(self):
         spec = SpectrumModel(psd=lambda w: -np.ones_like(w), band_lo=0.5, band_hi=1.0)
         with pytest.raises(ValueError, match="non-negative"):
-            synthesize_band(spec, 16, seed=0)
+            synthesize_ensemble(spec, 16, [0])
 
     def test_child_seeds_deterministic(self):
         assert child_seeds(123, 5) == child_seeds(123, 5)
@@ -112,11 +113,23 @@ class TestEnsemble:
     def test_band_is_a_row_of_the_ensemble(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ens = zpf.synthesize_ensemble(spec, 128, [7, 8])
-        ms = synthesize_band(spec, 128, seed=8)
+        ms = synthesize_ensemble(spec, 128, [8])
         assert np.array_equal(ms.omegas, ens.omegas)
         assert np.array_equal(ms.amplitudes, ens.amplitudes)
-        assert np.array_equal(ms.phases, ens.phases[1])
-        assert ms.seed == 8
+        assert np.array_equal(ms.phases, ens.phases[1:])
+        assert ms.seeds == (8,)
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 100, 2000, 4097])
+    # (0.03, 0.32): k (hi - lo) / (n - 1) + lo misses hi at k = n - 1 for 3 and 100 modes
+    @pytest.mark.parametrize("band", [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)])
+    def test_frequency_prefix_is_the_grids(self, n_modes, band):
+        # the recurrence time a run is checked against before synthesis is the
+        # synthesized ensemble's, bit for bit
+        grid = zpf.mode_frequencies(band, n_modes)
+        assert grid.tobytes() == np.linspace(band[0], band[1], n_modes).tobytes()
+        assert zpf.mode_frequencies(band, n_modes, 2).tobytes() == grid[:2].tobytes()
+        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA, band), n_modes, [1])
+        assert zpf.recurrence_time(grid[:2]) == ens.t_rec
 
     @pytest.mark.parametrize("epsilon", [0.0, EPS_CODATA, 0.09])
     def test_coefficients_mode_by_mode(self, epsilon):
@@ -129,14 +142,6 @@ class TestEnsemble:
                 boost = math.sqrt(1.0 + (epsilon * w) ** 2)
                 arg = phi + math.atan(epsilon * w)
                 assert c[r, k] == complex(a * boost * math.cos(arg), a * boost * math.sin(arg))
-
-    def test_stack_matches_synthesis(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        seeds = child_seeds(9, 4)
-        ens = zpf.synthesize_ensemble(spec, 64, seeds)
-        stacked = ModeEnsemble.stack([synthesize_band(spec, 64, s) for s in seeds])
-        assert stacked.seeds == ens.seeds
-        assert np.array_equal(stacked.coefficients(0.02), ens.coefficients(0.02))
 
 
 class TestEvaluation:
@@ -151,12 +156,13 @@ class TestEvaluation:
 
     def test_derivative_is_term_by_term(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 32, seed=4)
+        ms = synthesize_ensemble(spec, 32, [4])
         t = np.linspace(0.0, 50.0, 500)
-        e = sum(a * np.cos(w * t + p) for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases))
+        e = sum(a * np.cos(w * t + p)
+                for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases[0]))
         edot = sum(
             -a * w * np.sin(w * t + p)
-            for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases)
+            for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases[0])
         )
         # at eps = 1 E' carries full weight; the bound is relative to E' alone
         got = drive(ms, t, 1.0)
@@ -170,9 +176,20 @@ class TestEvaluation:
             vector_potential(ms, -0.1)
         assert ms.t_rec == pytest.approx(4.0 * math.pi)
 
+    def test_vector_potential_is_term_by_term(self):
+        # a = -sum_k (A_k/w_k) sin(w_k t + phi_k), for each of the ensemble's rows
+        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 32, [4, 5])
+        t = np.linspace(0.0, 50.0, 500)
+        expected = np.array([
+            -sum(a / w * np.sin(w * t + p) for a, w, p in zip(ens.amplitudes, ens.omegas, row))
+            for row in ens.phases])
+        got = vector_potential(ens, t)
+        assert got.shape == (2, 500)
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
     def test_parseval_large_modeset(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 2000, seed=13)
+        ms = synthesize_ensemble(spec, 2000, [13])
         t = np.arange(int(ms.t_rec / 1.0)) * 1.0
         e = drive(ms, t)
         assert np.var(e) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
@@ -192,7 +209,11 @@ BAND_2000 = np.linspace(0.8, 1.2, 2000)
 
 
 class TestModeSumOracle:
-    """mode_sum against an explicit double sum that shares no code with it."""
+    """phasor_sum against an explicit double sum that shares no code with it.
+
+    The double sum is the cosine-and-sine form sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)],
+    which is Re sum_k c_k e^{i w_k t} with c_k = cc_k - i sc_k.
+    """
 
     @pytest.mark.parametrize("omegas, times", [
         (BAND_64, 0.05 * np.arange(300)),
@@ -214,7 +235,7 @@ class TestModeSumOracle:
         cos_coeff = rng.normal(size=shape)
         sin_coeff = rng.normal(size=shape)
         expected = trig_double_sum(omegas, cos_coeff, sin_coeff, times)
-        got = zpf.mode_sum(omegas, cos_coeff, sin_coeff, times)
+        got = phasor_sum(omegas, np.transpose(cos_coeff - 1j * sin_coeff), times).T
         assert got.shape == expected.shape
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
@@ -223,8 +244,9 @@ class TestModeSumOracle:
     @pytest.mark.parametrize("n_real", [None, 3])
     def test_no_times_gives_empty_sum(self, n_real):
         shape = (64,) if n_real is None else (64, n_real)
-        got = zpf.mode_sum(BAND_64, np.ones(shape), np.ones(shape), np.array([]))
-        assert got.shape == (0,) + shape[1:]
+        got = phasor_sum(BAND_64, np.transpose(np.ones(shape) - 1j * np.ones(shape)),
+                         np.array([]))
+        assert got.shape == shape[1:] + (0,)
 
 
 class TestPsdEstimation:
@@ -247,7 +269,7 @@ class TestPsdEstimation:
 
     def test_band_purity(self):
         spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_band(spec, 512, seed=21)
+        ms = synthesize_ensemble(spec, 512, [21])
         dt = 2.0 * math.pi / 8.0
         t = np.arange(int(ms.t_rec / dt)) * dt
         omega, psd = estimate_psd(drive(ms, t), dt, 4096)
@@ -263,7 +285,7 @@ class TestPsdEstimation:
         dt = 2.0 * math.pi / 6.0
         acc = None
         for seed in child_seeds(314, 6):
-            ms = synthesize_band(spec, 2000, seed=seed)
+            ms = synthesize_ensemble(spec, 2000, [seed])
             t = np.arange(int(ms.t_rec / dt)) * dt
             omega, psd = estimate_psd(drive(ms, t), dt, 512)
             acc = psd if acc is None else acc + psd
@@ -320,18 +342,20 @@ class TestUnitsConsistency:
         assert np.allclose(gain**2 * field_psd(w), dc.epsilon * w**3 / math.pi,
                            rtol=1e-12, atol=0.0)
         assert np.allclose(sim.psd(w), dc.epsilon * w**3 / math.pi, rtol=1e-15, atol=0.0)
-        phys = synthesize_band(SpectrumModel(field_psd, 0.8, 1.2), 64, seed=17)
-        drive_modes = synthesize_band(sim, 64, seed=17)
-        assert np.allclose(phys.scaled(gain).amplitudes, drive_modes.amplitudes,
+        phys = synthesize_ensemble(SpectrumModel(field_psd, 0.8, 1.2), 64, [17])
+        drive_modes = synthesize_ensemble(sim, 64, [17])
+        assert np.allclose(gain * phys.amplitudes, drive_modes.amplitudes,
                            rtol=1e-10, atol=0.0)
         assert np.array_equal(phys.phases, drive_modes.phases)
 
 
 class TestModeSetInvariants:
+    """A mode ensemble's grid: one length for all three arrays, increasing frequencies."""
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            ModeSet(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0, 0.0]), 0)
+            ModeEnsemble(np.array([1.0, 2.0]), np.array([1.0]), np.array([[0.0, 0.0]]), (0,))
 
     def test_nonincreasing_frequencies_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            ModeSet(np.array([2.0, 1.0]), np.zeros(2), np.zeros(2), 0)
+            ModeEnsemble(np.array([2.0, 1.0]), np.zeros(2), np.zeros((1, 2)), (0,))
