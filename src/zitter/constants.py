@@ -145,6 +145,11 @@ def load_constants(path: str | None = None) -> FundamentalConstants:
     unknown = [k for k in raw if k not in _FILE_KEYS]
     if unknown:
         raise ValueError(f"constants file has unknown keys: {unknown}")
+    # JSON numbers only: float() would also take text such as "4.8e-10", and true
+    not_numbers = [k for k in _FILE_KEYS
+                   if not isinstance(raw[k], (int, float)) or isinstance(raw[k], bool)]
+    if not_numbers:
+        raise ValueError(f"constants file values must be numbers: {not_numbers}")
     return FundamentalConstants(
         e=float(raw["e_statC"]),
         m=float(raw["m_g"]),

@@ -26,8 +26,7 @@ import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import _BLOCK as _SUM_BLOCK
-from .zpf import ModeEnsemble, phasor_blocks, vector_potential
+from .zpf import ModeEnsemble, _fft_len, _grid_step, phasor_blocks, vector_potential
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -147,13 +146,16 @@ class Trajectory:
 
 #: steps per block of the closed-form free mode lam^j
 _BLOCK = 1024
-#: complex values in the chirp-z buffer of one block of ``stationary_mean_z2``
-#: (8 MB): a group of realizations against a time block of at most
-#: ``_SUM_BLOCK`` steps and at most as many modes
-_STREAM_BUDGET = 2**19
-#: realizations per group of ``stationary_mean_z2``; with the budget this
-#: bounds its working memory whatever the ensemble size
-_STREAM_GROUP = _STREAM_BUDGET // (2 * _SUM_BLOCK)
+#: most complex values (2 MB) and most realizations that the FFT buffer of
+#: ``stationary_mean_z2`` holds, in rows of about 2K values (one row at least),
+#: so that its working memory does not grow with the ensemble
+_STREAM_BUDGET = 2**17
+_STREAM_GROUP = 32
+
+
+def _stream_rows(n_fft: int) -> int:
+    """Realizations per group of ``stationary_mean_z2`` at FFT length n_fft."""
+    return max(1, min(_STREAM_GROUP, _STREAM_BUDGET // n_fft))
 
 
 def _rk4_step(eps, h, z, v, g0, gm, g1):
@@ -275,29 +277,25 @@ class _DrivenRK4:
         free = to_mode[0] * z0 + to_mode[1] * zdot0 - self.lam * steady0
         self.free = np.stack((free.real, -free.imag), axis=1)
 
-    def blocks(self, row: int, first: int, group: int):
-        """z (``row`` 0) or z' (1) at steps first..N: ``(rows, steps, values)`` items.
+    def blocks(self, row: int):
+        """z (``row`` 0) or z' (1) at steps 0..N: ``(steps, values)`` items.
 
-        Each item holds one realization group ``rows`` over one time block of
-        ``steps``; ``values`` is a real view of ``phasor_blocks``' buffer, valid
-        until the next item. The free mode at step n is Re(f u_n) with
+        Each item holds every realization over one time block of ``steps``;
+        ``values`` is a real view of ``phasor_blocks``' buffer, valid until
+        the next item. The free mode at step n is Re(f u_n) with
         u_n = 2 vec lam^(n-1), the same course for every realization: it is
-        built once per time block and added to a group as one real product.
+        built once per time block and added as one real product.
         """
-        times = self.dt * np.arange(first, self.n_steps + 1)
-        span = None
-        for rows, cols, values in phasor_blocks(self.omegas, self.coeff, times, group,
-                                                self.transfer[row]):
-            if cols != span:
-                span = cols
-                lam_n = np.concatenate([y[0] for _, y in _free_modes(
-                    self.lam, np.full((1, 1), self.lam ** (first + cols.start - 1)),
-                    cols.stop - cols.start)])
-                u = 2.0 * self.vec[row] * lam_n
-                course = np.stack((u.real, u.imag))
+        times = self.dt * np.arange(self.n_steps + 1)
+        for _, cols, values in phasor_blocks(self.omegas, self.coeff, times, len(self.coeff),
+                                             self.transfer[row]):
+            lam_n = np.concatenate([y[0] for _, y in _free_modes(
+                self.lam, np.full((1, 1), self.lam ** (cols.start - 1)),
+                cols.stop - cols.start)])
+            u = 2.0 * self.vec[row] * lam_n
             x = values.real
-            x += self.free[rows] @ course
-            yield rows, slice(first + cols.start, first + cols.stop), x
+            x += self.free @ np.stack((u.real, u.imag))
+            yield cols, x
 
 
 def step_count(dt: float, t_max: float) -> int:
@@ -344,8 +342,8 @@ def integrate_ensemble(epsilon: float, drives: ModeEnsemble, dt: float,
     run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
     zs, vs = (np.empty((len(run.coeff), run.n_steps + 1)) for _ in range(2))
     for row, out in enumerate((zs, vs)):
-        for rows, steps, x in run.blocks(row, 0, len(out)):
-            out[rows, steps] = x
+        for steps, x in run.blocks(row):
+            out[:, steps] = x
     zs[:, 0], vs[:, 0] = z0, zdot0
     return _trajectories(zs, vs, dt, epsilon, run.seeds)
 
@@ -357,24 +355,155 @@ def first_kept_sample(discard: float, n_samples: int) -> int:
     return int(discard * n_samples)
 
 
+def _dirichlet(theta: np.ndarray, first: int, count: int) -> np.ndarray:
+    """sum_{n=first}^{first+count-1} e^{i theta n} for real theta, elementwise.
+
+    As e^{i theta (first + last) / 2} sin(theta count / 2) / sin(theta / 2),
+    and count at theta = 0.
+    """
+    out = np.empty(theta.shape, dtype=complex)
+    np.multiply(theta, first + 0.5 * (count - 1), out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    half = 0.5 * theta
+    ratio = np.sin(count * half)
+    np.sin(half, out=half)
+    np.divide(ratio, half, out=ratio, where=half != 0.0)
+    ratio[half == 0.0] = count
+    out *= ratio
+    return out
+
+
+def _geometric_sum(log_q: np.ndarray, first: int, count: int) -> np.ndarray:
+    """sum_{n=first}^{first+count-1} q^n for q = e^{log_q}, Re log_q < 0, elementwise.
+
+    Through expm1, so it keeps its accuracy as |q| -> 1.
+    """
+    return np.exp(first * log_q) * np.expm1(count * log_q) / np.expm1(log_q)
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    def split(x):
+        t = 134217729.0 * x  # (2^27 + 1) x: x's high 26 bits and the rest
+        high = t - (t - x)
+        return high, x - high
+
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _steady_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.ndarray:
+    """(sum_n |S_n|^2 + Re sum_n S_n^2) / 2 over the steps first .. N, per realization.
+
+    S_n = sum_k b_k e^{i w_k h n} with b = c H_d. On the grid w_k = w_0 + k dw
+    the two sums are a Toeplitz and a Hankel form in b,
+
+        sum_n |S_n|^2 = sum_jk conj(b_j) b_k D(k - j),  D(d) = sum_n e^{i d dw h n},
+        sum_n S_n^2   = sum_jk b_j b_k E(j + k),  E(s) = sum_n e^{i (2 w_0 + s dw) h n}.
+
+    With B the FFT of b at a length L >= 2K - 1, the forms embed in circulant
+    ones (as Bluestein's 1970 chirp-z does its convolution) and are
+    sum_m |B_m|^2 X_m and sum_m B_m^2 Y_m, where X and Y are the inverse FFTs
+    of D, laid out circularly, and of E. That is one FFT of length L per
+    realization, in groups of at most ``_STREAM_GROUP`` realizations and
+    ``_STREAM_BUDGET`` values.
+    """
+    n_real, n_modes = run.coeff.shape
+    n_fft = _fft_len(2 * n_modes - 1)
+    h = run.dt
+    # D at the offsets d = k - j, d >= 0 first; X is real, as D(-d) = conj D(d)
+    # on every offset the form reads
+    theta = np.arange(n_fft, dtype=float)
+    theta[n_fft // 2 + 1:] -= n_fft
+    theta *= h * d_omega
+    kernel = _dirichlet(theta, first, count)
+    x_kernel = np.fft.ifft(kernel, out=kernel).real.copy()
+    theta = h * (2.0 * run.omegas[0] + d_omega * np.arange(n_fft))
+    y_kernel = _dirichlet(theta, first, count)
+    np.fft.ifft(y_kernel, out=y_kernel)
+
+    sums = np.empty(n_real)
+    group = _stream_rows(n_fft)
+    buf = np.empty((min(group, n_real), n_fft), dtype=complex)
+    for start in range(0, n_real, group):
+        rows = slice(start, start + group)
+        b = buf[:len(sums[rows])]
+        np.multiply(run.coeff[rows], run.transfer[0], out=b[:, :n_modes])
+        b[:, n_modes:] = 0.0
+        np.fft.fft(b, axis=-1, out=b)
+        sums[rows] = 0.5 * (np.einsum("ij,ij,j->i", b.real, b.real, x_kernel)
+                            + np.einsum("ij,ij,j->i", b.imag, b.imag, x_kernel)
+                            + np.einsum("ij,ij,j->i", b, b, y_kernel).real)
+    return sums
+
+
+def _free_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.ndarray:
+    """Re sum_n (conj S_n + S_n) F_n + (sum_n |F_n|^2 + Re sum_n F_n^2) / 2, per realization.
+
+    F_n = phi lam^n is the free mode, phi = 2 f vec_0 / lam with
+    f = lam (y_0 - y_p(0)). Each sum is geometric in n:
+    sum_n S_n F_n = phi sum_k b_k G(lam e^{i w_k h}), and sum_n conj(S_n) F_n
+    the same with conj b and e^{-i w_k h}, formed as coeff @ (H_d G) with no
+    (R, K) temporary.
+
+    Early in the window S_n and F_n nearly cancel, so these sums and
+    sum |S_n|^2 can each be tens of times the result, and so can their
+    rounding errors. Two things keep them consistent: S here is the one
+    ``_steady_sums`` sums, on the grid w_0 + k dw exactly, and w_k h is
+    carried as hi + lo, so that arg lam -+ hi is exact near resonance, where
+    it is small, and the phase of q^n does not drift by n times a rounding
+    error.
+    """
+    h, gain = run.dt, run.transfer[0]
+    p0, e0 = _two_product(h, run.omegas[0])
+    p1, e1 = _two_product(h, d_omega)
+    k = np.arange(len(gain), dtype=float)
+    q, e_q = _two_product(k, p1)
+    hi, e_s = _two_sum(p0, q)
+    lo = e_s + e_q + e0 + k * e1
+    log_lam = np.log(run.lam)
+    cross = run.coeff @ np.stack(
+        (gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
+         gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
+        axis=1)
+    phi = 2.0 * (run.free[:, 0] - 1j * run.free[:, 1]) * run.vec[0] / run.lam
+    return ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
+            + 0.5 * (np.abs(phi) ** 2 * _geometric_sum(2.0 * log_lam.real, first, count).real
+                     + (phi**2 * _geometric_sum(2.0 * log_lam, first, count)).real))
+
+
 def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: float,
                        discard: float) -> np.ndarray:
-    """Each realization's mean of z^2 after the burn-in, without holding its trajectory.
+    """Each realization's mean of z^2 after the burn-in, in closed form, without forming z.
 
     The same run as ``integrate_ensemble`` from rest, whose per-realization
-    means ``analysis.ensemble_stationary_variance`` takes over the samples
-    ``first_kept_sample(discard, N+1)`` .. N. Only z is computed, only at those
-    samples, and only its sum of squares is kept: over time blocks of at most
-    ``_SUM_BLOCK`` steps and realization groups of ``_STREAM_GROUP``, so the
-    working memory does not grow with the run's length or ensemble size.
+    means ``analysis.ensemble_stationary_variance`` takes over the steps
+    ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
+    T_n = S_n + F_n, the steady mode sum and the free mode, so
+    sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2: ``_steady_sums``
+    gives the terms in S alone, ``_free_sums`` the rest. Neither cost nor
+    memory grows with the run's length. Raises ValueError unless the mode
+    grid is equally spaced, as every synthesized ensemble's is.
     """
+    d_omega = _grid_step(drives.omegas)
+    if d_omega is None:
+        raise ValueError("stationary_mean_z2 needs equally spaced mode frequencies")
     run = _DrivenRK4(epsilon, drives, dt, t_max, 0.0, 0.0)
     n_samples = run.n_steps + 1
     first = first_kept_sample(discard, n_samples)
-    sums = np.zeros(len(run.coeff))
-    for rows, _, z in run.blocks(0, first, _STREAM_GROUP):
-        sums[rows] += np.einsum("ij,ij->i", z, z)
-    return sums / (n_samples - first)
+    count = n_samples - first
+    sums = _free_sums(run, d_omega, first, count)
+    sums += _steady_sums(run, d_omega, first, count)
+    return sums / count
 
 
 def rk4_transfer_max_rel_err(epsilon: float, dt: float, omegas: np.ndarray) -> float:

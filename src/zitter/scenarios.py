@@ -26,22 +26,22 @@ SCENARIO_NAMES = (
 
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
-#: most float64 values one array of a run may hold (400 MB), and most values
-#: of z a streamed run may compute; the largest at a default config is
-#: stationary's 85,060 steps x 100 realizations = 8.5e6 values of z
+#: most float64 values one array of a run may hold (400 MB), and most steps x
+#: realizations a stationary run may cover; the largest at a default config
+#: is stationary's 85,060 steps x 100 realizations = 8.5e6
 _MAX_VALUES = 5 * 10**7
-#: bytes ``stationary`` holds per mode and realization, rounded up: the phase
-#: (8) and complex drive coefficient (16) of every realization, and the
-#: chirp-z buffer of a realization group, 16 per mode of each of its rows
-#: times the FFT length's excess over the mode count
-_COEFF_BYTES = 44
-#: the arrays of one row per mode (frequencies, transfer function, chirp,
-#: kernel, twiddles) hold about as much as this many more realizations
-_ROW_ARRAYS = 4
-#: bytes of a time block's share of the chirp-z buffer and its per-step
-#: arrays, whatever the number of modes: 32 rows of 8192 steps at 16 bytes,
-#: with the FFT length's rounding
-_BLOCK_BYTES = 6 * 10**6
+#: bytes ``stationary`` holds per mode and realization: the phase (8) and the
+#: complex drive coefficient (16)
+_COEFF_BYTES = 24
+#: the arrays of one row per mode (frequencies, transfer function, and the
+#: closed form's kernels of about 2K values with their temporaries) hold
+#: about as much as this many more realizations
+_ROW_ARRAYS = 8
+#: bytes per realization that ``zpf.child_seeds`` holds while it spawns the
+#: seeds, whatever the modes (41 MB for 10^5 realizations)
+_SEED_BYTES = 420
+#: bytes a stationary run holds whatever its modes and realizations
+_FIXED_BYTES = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ _MAX_INT = 2**53
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is an int or float that is a finite double; 10**400 is not."""
+    """Whether ``value`` is a finite double as an int or float; 10**400 and booleans are not."""
     try:
-        return isinstance(value, (int, float)) and math.isfinite(float(value))
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(float(value)))
     except OverflowError:
         return False
 
@@ -135,7 +136,7 @@ def _window(key, value):
 
 
 def _fraction(key, value):
-    if not (isinstance(value, (int, float)) and 0.0 <= value < 1.0):
+    if not (_finite(value) and 0.0 <= value < 1.0):
         raise ConfigError(f"{key} must lie in [0, 1), got {value!r}")
     return float(value)
 
@@ -260,14 +261,29 @@ def validate_config(raw: dict) -> Scenario:
     return Scenario(name=name, seed=seed, params=params)
 
 
-def _check_size(n_values: float, what: str, value_bytes: int = 8, fixed_bytes: int = 0) -> None:
+def _check_size(n_values: float, what: str, value_bytes: int = 8) -> None:
     """Refuse a run before it allocates or computes more than ``_MAX_VALUES`` float64s' worth."""
-    n_bytes = n_values * value_bytes + fixed_bytes
+    n_bytes = n_values * value_bytes
     if not n_bytes <= 8 * _MAX_VALUES:
         raise ConfigError(
             f"{what} would come to {n_bytes / 10**6:.3g} MB, over the limit of "
             f"{8 * _MAX_VALUES // 10**6} MB"
         )
+
+
+def _stationary_bytes(n_modes: int, n_realizations: int) -> float:
+    """Most bytes ``stationary`` holds at once.
+
+    Every realization's phases and coefficients and its spawned seed, the
+    arrays of one row per mode, and the complex FFT buffer of one realization
+    group.
+    """
+    held = (_COEFF_BYTES * n_modes * (n_realizations + _ROW_ARRAYS)
+            + _SEED_BYTES * n_realizations + _FIXED_BYTES)
+    if not held <= 8 * _MAX_VALUES:
+        return held  # refused anyway; _fft_len need not search past 2 n_modes
+    n_fft = zpf._fft_len(2 * n_modes - 1)
+    return held + 16 * n_fft * min(n_realizations, dynamics._stream_rows(n_fft))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +470,10 @@ def _run_stationary(sc, out, fc, dc, params):
     n_samples = t_max / params["dt"] + 1.0
     _check_size(n_samples * params["n_realizations"],
                 "z at t_max / dt + 1 steps x n_realizations")
-    # the kept steps' times take 8 bytes a step
-    _check_size(params["n_modes"] * (params["n_realizations"] + _ROW_ARRAYS),
+    _check_size(_stationary_bytes(params["n_modes"], params["n_realizations"]),
                 f"the mode coefficients, n_modes x (n_realizations + {_ROW_ARRAYS}) x "
-                f"{_COEFF_BYTES} bytes, a time block and the step times,",
-                _COEFF_BYTES, _BLOCK_BYTES + 8 * n_samples)
+                f"{_COEFF_BYTES} bytes, the seeds, {_SEED_BYTES} bytes per realization, "
+                "and a realization group's FFT buffer,", value_bytes=1)
     # the drive horizon check of dynamics.integrate_ensemble, made before synthesis
     t_rec = _recurrence_time(params)
     t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)

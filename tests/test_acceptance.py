@@ -121,6 +121,27 @@ def test_criterion_5_stationary_amplitude():
         assert 0.1 * DC.lambda_C_bar < rms_cm < DC.lambda_C_bar
 
 
+def test_criterion_5_at_1000_realizations():
+    with criterion(5, "stationary <z^2> within 6 stderr of the band's expectation "
+                      "(1000 realizations)"):
+        # a library call: the CLI refuses 85,060 steps x 1000 realizations
+        eps = DC.epsilon
+        spec = sed_drive_spectrum(eps)
+        drives = synthesize_ensemble(spec, 2000, child_seeds(20260823, 1000))
+        # sum_k A_k^2 (1 + eps^2 w_k^2) |H(w_k)|^2 / 2: the modes' own share of
+        # <z^2>, below 0.5 by the line's wings outside the band
+        w = drives.omegas
+        expected = float(np.sum(drives.amplitudes**2 * (1.0 + (eps * w) ** 2)
+                                / np.abs(1.0 - w**2 + 1j * eps * w) ** 2) / 2.0)
+        assert expected == pytest.approx(0.4963, abs=5e-5)
+        t_max = 13.0 / eps
+        stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
+            eps, drives, DT, t_max, (3.0 / eps) / t_max))
+        assert stats.n_realizations == 1000
+        assert abs(stats.mean_z2 - expected) <= 6.0 * stats.stderr
+        assert stats.mean_z2 == pytest.approx(0.5, rel=0.10)
+
+
 def test_criterion_6_dirac_solution():
     with criterion(6, "Dirac |v| = c at p = 0 and rest amplitude lambda_bar/2"):
         dp = DiracFreeParticle(E=FC.m * FC.c**2, p=0.0, v0=FC.c, fc=FC)

@@ -152,8 +152,8 @@ class TestScenarioRuns:
 
     def test_stationary_coefficient_footprint(self, tmp_path):
         # the memory that the size limit charges a run with many modes: the
-        # modes' phases and coefficients, a group's chirp-z buffer, the arrays
-        # of one row per mode, one time block and the step times
+        # modes' phases and coefficients, the arrays of one row per mode and
+        # a realization group's FFT buffer
         import tracemalloc
 
         from zitter import scenarios
@@ -168,8 +168,7 @@ class TestScenarioRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        charged = (scenarios._COEFF_BYTES * n_modes * (n_real + scenarios._ROW_ARRAYS)
-                   + scenarios._BLOCK_BYTES + 8 * (t_max / sc.params["dt"] + 1.0))
+        charged = scenarios._stationary_bytes(n_modes, n_real)
         # every realization's phases and complex coefficients are held
         assert 24 * n_modes * n_real <= peak <= charged
 
@@ -237,11 +236,15 @@ class TestExitCodes:
         # a value that is not a positive finite double
         json.dumps({"e_statC": 10**400, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
         json.dumps({"e_statC": "one", "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
+        # JSON numbers only: neither a numeral in text nor a boolean
+        json.dumps({"e_statC": "4.80320471e-10", "m_g": 9.1093837015e-28,
+                    "c_cm_per_s": 2.99792458e10, "hbar_erg_s": 1.054571817e-27}).encode(),
+        json.dumps({"e_statC": True, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
         # e^2 underflows to 0, so T_tr = 2 / Gamma divides by zero; c^3 overflows
         json.dumps({"e_statC": 1e-200, "m_g": 1, "c_cm_per_s": 1, "hbar_erg_s": 1}).encode(),
         json.dumps({"e_statC": 1, "m_g": 1, "c_cm_per_s": 1e200, "hbar_erg_s": 1}).encode(),
     ], ids=["missing", "empty", "not-json", "not-utf8", "array", "missing-keys",
-            "huge-integer", "text-value", "underflow", "overflow"])
+            "huge-integer", "text-value", "text-numeral", "boolean", "underflow", "overflow"])
     def test_unusable_constants_file_returns_2(self, tmp_path, capsys, scenario, content):
         constants_file = tmp_path / "constants.json"
         if content is not None:
@@ -343,6 +346,11 @@ class TestExitCodes:
         ({"scenario": "roots", "params": {"epsilons": [10**400]}}, "epsilons[0]"),
         ({"scenario": "psd-check", "params": {"segment_len": 10**400}}, "segment_len"),
         ({"scenario": "dirac", "params": {"n_samples": 10**400}}, "n_samples"),
+        # JSON booleans are not numbers
+        ({"scenario": "transient", "params": {"t_max": True, "z0_re": False}}, "t_max"),
+        ({"scenario": "transient", "params": {"z0_re": False, "z0_im": 0.5}}, "z0_re"),
+        ({"scenario": "psd-check", "params": {"overlap": False}}, "overlap"),
+        ({"scenario": "stationary", "params": {"band": [True, 1.2]}}, "band[0]"),
     ], ids=["sweep-one-epsilon", "sweep-repeated-epsilon", "transient-text-window",
             "psd-segment-too-long", "transient-window-past-t-max", "transient-zero-z0",
             "stationary-past-horizon", "dirac-faster-than-light", "dirac-below-rest-energy",
@@ -357,7 +365,8 @@ class TestExitCodes:
             "stationary-band-too-narrow", "transient-huge-t-max", "transient-huge-dt",
             "transient-huge-z0", "stationary-huge-discard-time", "psd-huge-n-modes",
             "dirac-huge-momentum", "roots-huge-epsilon", "psd-huge-segment-len",
-            "dirac-huge-n-samples"])
+            "dirac-huge-n-samples", "transient-boolean-t-max", "transient-boolean-z0",
+            "psd-boolean-overlap", "stationary-boolean-band"])
     def test_unusable_params_return_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

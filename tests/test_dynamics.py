@@ -179,7 +179,8 @@ class TestStreamedStatistic:
     @pytest.mark.parametrize("discard", [0.0, 0.3])
     def test_matches_ensemble_trajectories(self, discard):
         # one full realization group and a partial one; 19,100 samples at
-        # discard 0 and 13,370 at 0.3, each ending in a partial time block
+        # discard 0 and 13,370 at 0.3, where the reference trajectories' mode
+        # sum ends in a partial time block
         eps, n_real, t_max = 0.02, dynamics._STREAM_GROUP + 3, 600.0
         spec = sed_drive_spectrum(eps)
         drives = synthesize_ensemble(spec, 64, range(n_real))
@@ -187,7 +188,7 @@ class TestStreamedStatistic:
         streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard)
         first = dynamics.first_kept_sample(discard, len(trajs[0].z))
         kept = len(trajs[0].z) - first
-        assert kept > dynamics._SUM_BLOCK and kept % dynamics._SUM_BLOCK != 0
+        assert kept > zpf._BLOCK and kept % zpf._BLOCK != 0
         assert n_real % dynamics._STREAM_GROUP != 0
         per_run = np.array([np.mean(t.z[first:] ** 2) for t in trajs])
         assert np.max(np.abs(streamed / per_run - 1.0)) <= 1e-12
@@ -196,6 +197,47 @@ class TestStreamedStatistic:
         assert stats.n_realizations == whole.n_realizations == n_real
         assert stats.mean_z2 == pytest.approx(whole.mean_z2, rel=1e-12, abs=0.0)
         assert stats.stderr == pytest.approx(whole.stderr, rel=1e-12, abs=0.0)
+
+    def test_matches_trajectories_while_transient_is_large(self):
+        # eps 0.001: at the window's start (t 120) the free mode is still ~94%
+        # of its initial size and cancels most of the steady sum, so
+        # sum |S_n|^2, sum |F_n|^2 and the cross terms are each tens of times
+        # the result and amplify their rounding errors as much. The two paths
+        # agree to 1.2e-13 here; with the cross terms' phases w_k h rounded
+        # (1.0e-12), or exact but on the synthesized grid rather than the
+        # FFT's w_0 + k dw (8.2e-13), they did not
+        eps, t_max, discard = 0.001, 600.0, 0.2
+        drives = synthesize_ensemble(sed_drive_spectrum(eps), 500, zpf.child_seeds(3, 8))
+        trajs = integrate_ensemble(eps, drives, DT, t_max)
+        first = dynamics.first_kept_sample(discard, len(trajs[0].z))
+        per_run = np.array([np.mean(t.z[first:] ** 2) for t in trajs])
+        streamed = dynamics.stationary_mean_z2(eps, drives, DT, t_max, discard)
+        assert np.max(np.abs(streamed / per_run - 1.0)) <= 3e-13
+
+    def test_memory_does_not_grow_with_run_length(self):
+        # one realization group; t_max 100 and 400 (3,184 and 12,733 steps),
+        # both below t_rec 4,006
+        import tracemalloc
+
+        eps = 0.02
+        drives = synthesize_ensemble(sed_drive_spectrum(eps), 256,
+                                     range(dynamics._STREAM_GROUP))
+        peaks = []
+        for t_max in (100.0, 400.0):
+            assert t_max < drives.t_rec
+            tracemalloc.start()
+            try:
+                dynamics.stationary_mean_z2(eps, drives, DT, t_max, 0.25)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 10**6
+
+    def test_irregular_grid_rejected(self):
+        drives = ModeEnsemble(omegas=np.array([0.9, 0.95, 1.1]), amplitudes=np.full(3, 0.01),
+                              phases=np.zeros((1, 3)), seeds=(0,))
+        with pytest.raises(ValueError, match="equally spaced"):
+            dynamics.stationary_mean_z2(0.02, drives, DT, 100.0, 0.5)
 
     def test_discard_fraction_guard(self):
         drives = synthesize_ensemble(sed_drive_spectrum(0.02), 64, [1, 2])
@@ -287,6 +329,26 @@ class TestIntegratorOracle:
     def test_forced_run_at_largest_step_and_damping(self):
         # eps near 0.1 and dt = MAX_DT: the coarsest step, the fastest free decay
         self.check_forced(0.099, MAX_DT, 1337)
+
+    @pytest.mark.parametrize("discard", [0.0, 0.4])
+    @pytest.mark.parametrize("eps, dt", [(0.02, DT), (0.099, MAX_DT)])
+    def test_stationary_mean_matches_step_loop(self, eps, dt, discard):
+        # the closed-form sum of z^2 against the textbook loop's z, from rest;
+        # 16 equally spaced modes, t_rec 235.6
+        drives = synthesize_ensemble(sed_drive_spectrum(eps), 16, [1, 2, 3])
+        n_steps = int(200.0 / dt)
+        t_half = 0.5 * dt * np.arange(2 * n_steps + 1)
+        g = np.stack([sum(a * (np.cos(w * t_half + p) - eps * w * np.sin(w * t_half + p))
+                          for a, w, p in zip(drives.amplitudes, drives.omegas, phis))
+                      for phis in drives.phases], axis=1)
+        ref_z, _ = rk4_loop(eps, 0.0, 0.0, g, dt, n_steps)
+        first = dynamics.first_kept_sample(discard, n_steps + 1)
+        kept = ref_z[:, first:]
+        means = dynamics.stationary_mean_z2(eps, drives, dt, n_steps * dt, discard)
+        # |z - z_ref| <= 1e-10 at every step, as the forced runs above hold it,
+        # moves the mean of z^2 by at most 1e-10 (2 mean|z_ref| + 1e-10)
+        bound = 1e-10 * (2.0 * np.mean(np.abs(kept), axis=1) + 1e-10)
+        assert np.all(np.abs(means - np.mean(kept**2, axis=1)) <= bound)
 
     def test_unforced_run_matches_step_loop(self):
         params = FastMotionParams(epsilon=0.02, z0=0.3 - 0.2j)
