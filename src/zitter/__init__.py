@@ -25,7 +25,6 @@ from .dynamics import (
     DiracFreeParticle,
     FastMotionParams,
     Trajectory,
-    canonical_momentum_residual,
     characteristic_roots,
     dirac_position_amplitude,
     dirac_velocity,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import ModeEnsemble, _fft_len, _grid_step, phasor_blocks, vector_potential
+from .zpf import ModeEnsemble, _fft_len, _grid_step, phasor_blocks
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -550,43 +550,6 @@ def dirac_position_amplitude(dp: DiracFreeParticle) -> float:
     # divided by 2E and then by E: E**2 overflows for E past ~1e154 erg
     return (abs(dp.p - dp.E / dp.fc.c**2 * dp.v0) * dp.fc.hbar / (2.0 * dp.E)
             * dp.fc.c**2 / dp.E)
-
-
-# ---------------------------------------------------------------------------
-# canonical-momentum correspondence
-
-def _cumulative_integral(y: np.ndarray, ydot: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative integral of y via corrected trapezoid (Hermite end slopes)."""
-    steps = 0.5 * dt * (y[:-1] + y[1:]) + dt**2 / 12.0 * (ydot[:-1] - ydot[1:])
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
-
-
-def canonical_momentum_residual(traj: Trajectory, drive: ModeEnsemble | None,
-                                p0: float, epsilon: float | None = None,
-                                restoring: bool = True) -> np.ndarray:
-    """Residual of zdot = p(t) + eps*zddot - a(t) along a sampled trajectory.
-
-    ``a`` is the scaled vector potential reconstructed term-by-term from the
-    modes of ``drive``, a one-row ensemble (D = -da/dt); ``p`` integrates
-    pdot = -z when ``restoring`` (the Compton restoring force) and stays
-    constant for a free particle.
-    A trajectory of the order-reduced equation leaves an O(eps^2) residual.
-    """
-    eps = traj.meta.get("epsilon", 0.0) if epsilon is None else epsilon
-    dt = traj.dt
-    t = traj.times
-    if drive is not None and len(drive.phases) != 1:
-        raise ValueError(f"drive must be a one-row ensemble, got {len(drive.phases)} rows")
-    a = np.zeros_like(t) if drive is None else vector_potential(drive, t)[0]
-    acc = np.gradient(traj.zdot, dt, edge_order=2)
-    if restoring:
-        p = p0 - _cumulative_integral(traj.z, traj.zdot, dt)
-    else:
-        p = np.full_like(t, p0)
-    return traj.zdot - p - eps * acc + a
 
 
 # ---------------------------------------------------------------------------

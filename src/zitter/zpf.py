@@ -22,6 +22,10 @@ import numpy.random  # noqa: F401
 
 PSD_CSV_HEADER = "omega,psd"
 
+#: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
+#: in (256 KB): the tangents and the scaled 1 / (1 + t^2), half each
+_SCRATCH = 2**15
+
 
 @dataclass(frozen=True)
 class SpectrumModel:
@@ -113,17 +117,39 @@ class ModeEnsemble:
 
         A mode of E + eps*E' is one cosine,
         A sqrt(1 + (eps w)^2) cos(w t + phi + atan(eps w)), so
-        c = A sqrt(1 + (eps w)^2) e^{i (phi + atan(eps w))}; at eps = 0 it is
-        A e^{i phi}. Formed in place, in one pass over (R, K), with no
-        temporary of that size.
+        c = A sqrt(1 + (eps w)^2) e^{i theta} with theta = phi + atan(eps w);
+        at eps = 0 it is A e^{i phi}. The phasor comes from one tangent of
+        the half angle, t = tan(theta / 2), as
+        e^{i theta} = ((1 - t^2) + 2 i t) / (1 + t^2): numpy's float64 ``tan``
+        is a SIMD loop where its ``sin`` and ``cos`` may each be a scalar libm
+        call. Rows are taken in blocks through one reused scratch of
+        ``_SCRATCH`` values, or of two rows when a row holds more than half
+        that, and the real and imaginary parts are written straight into the
+        result, so nothing else of size (R, K) is formed.
         """
-        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2)
+        n_modes = self.phases.shape[1]
+        scale = np.broadcast_to(self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2),
+                                self.phases.shape)
+        shift = np.arctan(epsilon * self.omegas)
         c = np.empty(self.phases.shape, dtype=complex)
-        np.add(self.phases, np.arctan(epsilon * self.omegas), out=c.imag)
-        np.cos(c.imag, out=c.real)
-        np.sin(c.imag, out=c.imag)
-        c.real *= scale
-        c.imag *= scale
+        rows = max(1, _SCRATCH // (2 * n_modes))
+        scratch = np.empty((2, rows * n_modes))
+        for start in range(0, len(c), rows):
+            block = slice(start, start + rows)
+            phases = self.phases[block]
+            t, q = (half[:phases.size].reshape(phases.shape) for half in scratch)
+            np.add(phases, shift, out=t)
+            t *= 0.5
+            np.tan(t, out=t)
+            np.multiply(t, t, out=q)
+            q += 1.0
+            np.divide(scale[block], q, out=q)  # A sqrt(1 + (eps w)^2) / (1 + t^2)
+            im = c.imag[block]
+            np.multiply(q, t, out=im)
+            im += im
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(q, t, out=c.real[block])
         return c
 
 
@@ -304,22 +330,6 @@ def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
     for group, cols, values in phasor_blocks(omegas, rows, times, len(rows)):
         out[group, cols] = values.real
     return out if np.ndim(coeff) == 2 else out[0]
-
-
-def vector_potential(ens: ModeEnsemble, t) -> np.ndarray:
-    """Antiderivative a(t) with E = -da/dt, term by term (zero mean choice), shape (R, N).
-
-    a = -sum_k (A_k/w_k) sin(w_k t + phi_k) = Re sum_k c_k e^{i w_k t} with
-    c_k = i (A_k/w_k) e^{i phi_k}.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0) or np.any(t_arr >= ens.t_rec):
-        raise ValueError(
-            f"evaluation times must lie in [0, t_rec={ens.t_rec:.6g}) to avoid "
-            "recurrence artifacts"
-        )
-    coeff = 1j * (ens.amplitudes / ens.omegas) * np.exp(1j * ens.phases)
-    return phasor_sum(ens.omegas, coeff, t_arr)
 
 
 def estimate_psd(values: Sequence[float], dt: float, segment_len: int,

@@ -146,7 +146,8 @@ class TestDrivenIntegration:
 
     def test_horizon_guard(self):
         ms = ModeEnsemble(omegas=np.array([1.0, 1.5]), amplitudes=np.array([1.0, 1.0]),
-                          phases=np.array([[0.0, 0.0]]), seeds=(0,))  # t_rec = 4*pi
+                          phases=np.array([[0.0, 0.0]]), seeds=(0,))
+        assert ms.t_rec == pytest.approx(4.0 * math.pi)
         with pytest.raises(ValueError, match="horizon"):
             integrate_ensemble(0.01, ms, DT, 20.0)
 

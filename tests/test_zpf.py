@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zitter import zpf
+from zitter import scenarios, zpf
 from zitter.zpf import (
     ModeEnsemble,
     SpectrumModel,
@@ -13,7 +13,6 @@ from zitter.zpf import (
     phasor_sum,
     sed_drive_spectrum,
     synthesize_ensemble,
-    vector_potential,
 )
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
@@ -141,7 +140,60 @@ class TestEnsemble:
                 a, w, phi = ens.amplitudes[k], ens.omegas[k], ens.phases[r, k]
                 boost = math.sqrt(1.0 + (epsilon * w) ** 2)
                 arg = phi + math.atan(epsilon * w)
-                assert c[r, k] == complex(a * boost * math.cos(arg), a * boost * math.sin(arg))
+                ref = complex(a * boost * math.cos(arg), a * boost * math.sin(arg))
+                # the kernel forms e^{i theta} from tan(theta / 2), not libm's cos and sin
+                assert abs(c[r, k] - ref) <= 4 * 2**-52 * abs(ref)
+
+
+class TestCoefficientKernel:
+    """ModeEnsemble.coefficients against references that share no code with it."""
+
+    def test_unit_phasor_matches_libm(self):
+        # at eps = 0 and unit amplitudes c is e^{i phi}; phi spans every phase
+        # plus the shift atan(eps w) at eps 0.1 and the default band's top, 1.2
+        top = 2.0 * math.pi + math.atan(0.1 * 1.2)
+        edges = [0.0, math.pi / 2.0, math.nextafter(math.pi, -math.inf), math.pi,
+                 math.nextafter(math.pi, math.inf), 1.5 * math.pi,
+                 math.nextafter(2.0 * math.pi, 0.0)]
+        theta = np.concatenate((np.linspace(0.0, top, 100_003), edges))
+        ens = ModeEnsemble(omegas=np.linspace(0.8, 1.2, len(theta)),
+                           amplitudes=np.ones(len(theta)), phases=theta[None, :], seeds=(0,))
+        c = ens.coefficients()[0]
+        ref = np.array([complex(math.cos(x), math.sin(x)) for x in theta])
+        assert np.max(np.abs(c - ref)) <= 3 * 2**-52
+        assert np.max(np.abs(np.abs(c) - 1.0)) <= 3 * 2**-52
+
+    @pytest.mark.parametrize("n_real, n_modes", [
+        # blocks of _SCRATCH // (2 K) rows: R not a multiple of them, then one row per block
+        (2 * (zpf._SCRATCH // (2 * 300)) + 3, 300),
+        (3, zpf._SCRATCH + 5),
+    ], ids=["partial-last-block", "row-past-scratch"])
+    def test_blocks_are_independent(self, n_real, n_modes):
+        shared = synthesize_ensemble(sed_drive_spectrum(0.05), n_modes, child_seeds(9, n_real))
+        per_row = np.outer(1.0 + np.arange(n_real), shared.amplitudes)
+        for ens in (shared, dataclasses.replace(shared, amplitudes=per_row)):
+            c = ens.coefficients(0.05)
+            for r in range(n_real):
+                amplitudes = ens.amplitudes if ens.amplitudes.ndim == 1 else per_row[r:r + 1]
+                row = dataclasses.replace(ens, amplitudes=amplitudes, phases=ens.phases[r:r + 1],
+                                          seeds=(ens.seeds[r],))
+                assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
+
+    def test_memory_is_the_result_plus_one_scratch(self):
+        # beyond the coefficients, the one-row arrays scenarios._stationary_bytes
+        # charges and the scratch, which its fixed 2 MB covers
+        import tracemalloc
+
+        ens = synthesize_ensemble(sed_drive_spectrum(0.05), 4096, child_seeds(3, 64))
+        tracemalloc.start()
+        try:
+            c = ens.coefficients(0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        allowed = (scenarios._ROW_ARRAYS * scenarios._COEFF_BYTES * 4096
+                   + 8 * zpf._SCRATCH)
+        assert peak - c.nbytes <= allowed
 
 
 class TestEvaluation:
@@ -167,25 +219,6 @@ class TestEvaluation:
         # at eps = 1 E' carries full weight; the bound is relative to E' alone
         got = drive(ms, t, 1.0)
         assert np.max(np.abs(got - (e + edot))) < 1e-12 * np.max(np.abs(edot))
-
-    def test_recurrence_horizon_guard(self):
-        ms = single_mode(spacing=0.5)  # t_rec = 4*pi
-        with pytest.raises(ValueError, match="t_rec"):
-            vector_potential(ms, ms.t_rec)
-        with pytest.raises(ValueError, match="t_rec"):
-            vector_potential(ms, -0.1)
-        assert ms.t_rec == pytest.approx(4.0 * math.pi)
-
-    def test_vector_potential_is_term_by_term(self):
-        # a = -sum_k (A_k/w_k) sin(w_k t + phi_k), for each of the ensemble's rows
-        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 32, [4, 5])
-        t = np.linspace(0.0, 50.0, 500)
-        expected = np.array([
-            -sum(a / w * np.sin(w * t + p) for a, w, p in zip(ens.amplitudes, ens.omegas, row))
-            for row in ens.phases])
-        got = vector_potential(ens, t)
-        assert got.shape == (2, 500)
-        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_parseval_large_modeset(self):
         spec = sed_drive_spectrum(EPS_CODATA)
