@@ -3,22 +3,16 @@
 from .analysis import (
     EnsembleStats,
     TransientFit,
-    ensemble_stationary_variance,
     ensemble_stats,
     fit_decay_rate,
-    oscillations_during_transition,
     transition_time_from_fit,
 )
 from .constants import (
     DerivedConstants,
     FundamentalConstants,
-    SimUnits,
     codata,
     derive_constants,
-    from_sim_units,
     load_constants,
-    sim_units,
-    to_sim_units,
 )
 from .dynamics import (
     CharacteristicRoots,
@@ -32,7 +26,6 @@ from .dynamics import (
     integrate_transient,
     rk4_transfer_max_rel_err,
     stationary_mean_z2,
-    transient_envelope,
 )
 from .errors import ConfigError, NumericalInstabilityError
 from .zpf import (

@@ -2,8 +2,8 @@
 
 The transient decay rate comes from a log-linear fit of the quadrature
 envelope sqrt(z^2 + (zdot/carrier)^2); the carrier frequency comes from
-interpolated zero crossings. Stationary statistics average z^2 over the
-post-burn-in samples of an ensemble of driven realizations.
+interpolated zero crossings. Stationary statistics take the mean and
+standard error of the realizations' post-burn-in averages of z^2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import DerivedConstants
-from .dynamics import Trajectory, first_kept_sample
+from .dynamics import Trajectory
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,3 @@ def ensemble_stats(per_run: Sequence[float]) -> EnsembleStats:
         mean_z2=float(np.mean(per_run)),
         stderr=float(np.std(per_run, ddof=1) / math.sqrt(n)),
     )
-
-
-def ensemble_stationary_variance(trajs: Sequence[Trajectory],
-                                 discard: float) -> EnsembleStats:
-    """Average z^2 over realizations after discarding the burn-in fraction."""
-    return ensemble_stats([np.mean(traj.z[first_kept_sample(discard, len(traj.z)):] ** 2)
-                           for traj in trajs])
-
-
-def oscillations_during_transition(line_period: float, dc: DerivedConstants) -> float:
-    """How many field oscillations of the given period fit in the transition time."""
-    if line_period <= 0.0:
-        raise ValueError(f"line period must be positive, got {line_period}")
-    return dc.T_tr / line_period

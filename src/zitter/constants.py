@@ -16,9 +16,6 @@ from importlib import resources
 # statC per coulomb (numerically c_cm_per_s / 10)
 _STATC_PER_COULOMB = 2.99792458e9
 
-#: dimension tags accepted by the sim-unit converters
-DIMENSIONS = ("time", "length", "frequency", "velocity")
-
 
 @dataclass(frozen=True)
 class FundamentalConstants:
@@ -64,15 +61,6 @@ class DerivedConstants:
     T_tr: float           # transition time 2/(tau*omega_C^2) (s)
 
 
-@dataclass(frozen=True)
-class SimUnits:
-    """The dimensionless simulation unit system shared by all modules."""
-
-    time_unit: float    # 1/omega_C (s)
-    length_unit: float  # reduced Compton wavelength (cm)
-    epsilon: float      # the only dimensionless parameter of the scaled dynamics
-
-
 def derive_constants(fc: FundamentalConstants) -> DerivedConstants:
     """Populate the full derived chain from the four fundamental constants."""
     tau = 2.0 * fc.e**2 / (3.0 * fc.m * fc.c**3)
@@ -91,38 +79,6 @@ def derive_constants(fc: FundamentalConstants) -> DerivedConstants:
         Gamma=gamma,
         T_tr=2.0 / gamma,
     )
-
-
-def sim_units(dc: DerivedConstants) -> SimUnits:
-    return SimUnits(
-        time_unit=1.0 / dc.omega_C,
-        length_unit=dc.lambda_C_bar,
-        epsilon=dc.epsilon,
-    )
-
-
-def _scale_factor(dc: DerivedConstants, dimension: str) -> float:
-    """Factor that multiplies a physical value to give the dimensionless one."""
-    if dimension == "time":
-        return dc.omega_C
-    if dimension == "length":
-        return 1.0 / dc.lambda_C_bar
-    if dimension == "frequency":
-        return 1.0 / dc.omega_C
-    if dimension == "velocity":
-        # length_unit * omega_C equals c, so velocities are measured in c
-        return 1.0 / (dc.lambda_C_bar * dc.omega_C)
-    raise ValueError(f"unknown dimension tag {dimension!r}; expected one of {DIMENSIONS}")
-
-
-def to_sim_units(dc: DerivedConstants, value: float, dimension: str) -> float:
-    """Convert a physical (Gaussian-unit) value to simulation units."""
-    return value * _scale_factor(dc, dimension)
-
-
-def from_sim_units(dc: DerivedConstants, value: float, dimension: str) -> float:
-    """Inverse of :func:`to_sim_units`."""
-    return value / _scale_factor(dc, dimension)
 
 
 _FILE_KEYS = ("e_statC", "m_g", "c_cm_per_s", "hbar_erg_s")

@@ -76,19 +76,6 @@ def characteristic_roots(epsilon: float) -> CharacteristicRoots:
     )
 
 
-def transient_envelope(t, z0: complex, epsilon: float):
-    """Decaying transient exp(-eps*t/2) * (z0 e^{it} + conj(z0) e^{-it}).
-
-    Real-valued by construction; ``t`` may be scalar or array, in sim units.
-    """
-    _check_epsilon(epsilon)
-    t_arr = np.asarray(t, dtype=float)
-    value = np.exp(-epsilon * t_arr / 2.0) * 2.0 * (
-        z0.real * np.cos(t_arr) - z0.imag * np.sin(t_arr)
-    )
-    return float(value) if np.ndim(t) == 0 else value
-
-
 # ---------------------------------------------------------------------------
 # time integration
 
@@ -97,13 +84,12 @@ class FastMotionParams:
     """Parameters of one fast-motion run.
 
     ``z0`` is the complex transient amplitude: the initial position is
-    z0 + conj(z0) = 2*Re(z0). If ``zdot0`` is None the initial velocity is
-    taken consistent with the pure transient, -eps*Re(z0) - 2*Im(z0).
+    z0 + conj(z0) = 2*Re(z0), and the initial velocity is the pure
+    transient's, -eps*Re(z0) - 2*Im(z0).
     """
 
     epsilon: float
     z0: complex = 0.5 + 0.0j
-    zdot0: float | None = None
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
@@ -114,8 +100,6 @@ class FastMotionParams:
 
     @property
     def initial_velocity(self) -> float:
-        if self.zdot0 is not None:
-            return self.zdot0
         return -self.epsilon * self.z0.real - 2.0 * self.z0.imag
 
 
@@ -131,17 +115,13 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not (len(self.times) == len(self.z) == len(self.zdot)):
             raise ValueError("times, z and zdot must have equal length")
-        steps = np.diff(self.times)
-        if len(steps) and (np.any(steps <= 0.0)
-                           or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        if len(self.times) > 1 and (np.any(np.diff(self.times) <= 0.0)
+                                    or _grid_step(self.times) is None):
             raise ValueError("times must be strictly increasing with uniform step")
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def energy(self) -> np.ndarray:
-        return 0.5 * (self.zdot**2 + self.z**2)
 
 
 #: steps per block of the closed-form free mode lam^j
@@ -287,8 +267,7 @@ class _DrivenRK4:
         built once per time block and added as one real product.
         """
         times = self.dt * np.arange(self.n_steps + 1)
-        for _, cols, values in phasor_blocks(self.omegas, self.coeff, times, len(self.coeff),
-                                             self.transfer[row]):
+        for cols, values in phasor_blocks(self.omegas, self.coeff, times, self.transfer[row]):
             lam_n = np.concatenate([y[0] for _, y in _free_modes(
                 self.lam, np.full((1, 1), self.lam ** (cols.start - 1)),
                 cols.stop - cols.start)])
@@ -324,7 +303,9 @@ def _trajectories(zs: np.ndarray, vs: np.ndarray, dt: float, epsilon: float,
 def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Trajectory:
     """Integrate the unforced order-reduced fast-motion equation with fixed-step RK4.
 
-    A driven single run is ``integrate_ensemble`` of a one-row ensemble.
+    The run starts from ``params``' initial position and velocity, those of
+    the pure transient of amplitude z0. A driven single run is
+    ``integrate_ensemble`` of a one-row ensemble.
     """
     n_steps = step_count(dt, t_max)
     zs, vs = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
@@ -485,9 +466,8 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
                        discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, in closed form, without forming z.
 
-    The same run as ``integrate_ensemble`` from rest, whose per-realization
-    means ``analysis.ensemble_stationary_variance`` takes over the steps
-    ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
+    The same run as ``integrate_ensemble`` from rest, its z^2 averaged over
+    the steps ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
     T_n = S_n + F_n, the steady mode sum and the free mode, so
     sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2: ``_steady_sums``
     gives the terms in S alone, ``_free_sums`` the rest. Neither cost nor

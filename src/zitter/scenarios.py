@@ -26,10 +26,12 @@ SCENARIO_NAMES = (
 
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
-#: most float64 values one array of a run may hold (400 MB), and most steps x
-#: realizations a stationary run may cover; the largest at a default config
-#: is stationary's 85,060 steps x 100 realizations = 8.5e6
+#: most float64 values' worth (400 MB) that a run may hold or write
 _MAX_VALUES = 5 * 10**7
+#: bytes charged per trajectory step: a ``trajectory.csv`` row of three
+#: shortest-repr doubles takes about 64, more than the ~40 a run holds per
+#: step, so at most 6.25e6 steps (a 400 MB file) are admitted
+_STEP_BYTES = 64
 #: bytes ``stationary`` holds per mode and realization: the phase (8) and the
 #: complex drive coefficient (16)
 _COEFF_BYTES = 24
@@ -423,7 +425,9 @@ def _run_transient(sc, out, fc, dc, params):
     t_max = params["t_max"] if params["t_max"] is not None else 6.0 / eps
     window = params["fit_window"] if params["fit_window"] is not None else [1.0 / eps, 6.0 / eps]
     params.update(epsilon=eps, t_max=t_max, fit_window=window)
-    _check_size(t_max / params["dt"], "the trajectory of t_max / dt steps")
+    _check_size(t_max / params["dt"],
+                f"the trajectory of t_max / dt steps, at {_STEP_BYTES} bytes a step,",
+                value_bytes=_STEP_BYTES)
     if window[1] > t_max:
         raise ConfigError(f"fit_window {window} must end by t_max {t_max:.6g}")
     span = analysis.min_fit_span(params["dt"])
@@ -467,9 +471,6 @@ def _run_stationary(sc, out, fc, dc, params):
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
     params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
-    n_samples = t_max / params["dt"] + 1.0
-    _check_size(n_samples * params["n_realizations"],
-                "z at t_max / dt + 1 steps x n_realizations")
     _check_size(_stationary_bytes(params["n_modes"], params["n_realizations"]),
                 f"the mode coefficients, n_modes x (n_realizations + {_ROW_ARRAYS}) x "
                 f"{_COEFF_BYTES} bytes, the seeds, {_SEED_BYTES} bytes per realization, "
@@ -543,7 +544,8 @@ def _run_dirac(sc, out, fc, dc, params):
 
 def _run_sweep(sc, out, fc, dc, params):
     _check_size(6.0 / min(params["epsilons"]) / params["dt"],
-                "the trajectory of 6 / epsilon / dt steps at the smallest of epsilons")
+                f"the trajectory of 6 / epsilon / dt steps at the smallest of epsilons, at "
+                f"{_STEP_BYTES} bytes a step,", value_bytes=_STEP_BYTES)
     rows = []
     for eps in params["epsilons"]:
         fm = dynamics.FastMotionParams(epsilon=eps)

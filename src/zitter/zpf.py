@@ -83,11 +83,10 @@ def recurrence_time(omegas: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """R >= 1 realizations on one frequency grid, held realization-major.
+    """R >= 1 realizations of one spectrum, held realization-major.
 
-    ``omegas`` has shape (K,), K >= 2, and ``phases`` (R, K); ``amplitudes``
-    is (K,) when the realizations share their spectrum, as synthesized ones
-    do, and (R, K) otherwise.
+    ``omegas`` and ``amplitudes`` have shape (K,), K >= 2, and ``phases``
+    (R, K).
     """
 
     omegas: np.ndarray
@@ -102,8 +101,9 @@ class ModeEnsemble:
         if np.ndim(self.phases) != 2 or len(self.phases) < 1:
             raise ValueError(f"phases must be (R, K) with at least one realization, "
                              f"got shape {np.shape(self.phases)}")
-        if np.shape(self.amplitudes)[-1] != n or np.shape(self.phases)[-1] != n:
-            raise ValueError("omegas, amplitudes and phases must have equal length")
+        if np.shape(self.amplitudes) != (n,) or np.shape(self.phases)[-1] != n:
+            raise ValueError("amplitudes must be (K,) and phases (R, K), K the length "
+                             "of omegas")
         if not np.all(np.diff(self.omegas) > 0.0):
             raise ValueError("mode frequencies must be strictly increasing")
 
@@ -128,8 +128,7 @@ class ModeEnsemble:
         result, so nothing else of size (R, K) is formed.
         """
         n_modes = self.phases.shape[1]
-        scale = np.broadcast_to(self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2),
-                                self.phases.shape)
+        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2)
         shift = np.arctan(epsilon * self.omegas)
         c = np.empty(self.phases.shape, dtype=complex)
         rows = max(1, _SCRATCH // (2 * n_modes))
@@ -143,7 +142,7 @@ class ModeEnsemble:
             np.tan(t, out=t)
             np.multiply(t, t, out=q)
             q += 1.0
-            np.divide(scale[block], q, out=q)  # A sqrt(1 + (eps w)^2) / (1 + t^2)
+            np.divide(scale, q, out=q)  # A sqrt(1 + (eps w)^2) / (1 + t^2)
             im = c.imag[block]
             np.multiply(q, t, out=im)
             im += im
@@ -228,11 +227,11 @@ class _ChirpZ:
     inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
     ``numpy.fft`` at a 5-smooth length >= K + m - 1. The plan holds what
     depends only on the modes and the step: the chirp, the kernel's FFT and
-    the FFT length. ``twiddles`` adds what depends on a block's times, and the
-    plan then serves any number of coefficient rows on that block. The chirp
-    is built from exact phases pi scale j^2 / m with integer j^2, as in
-    ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
-    (m + K)^2 / 2 instead drifts by ~1e-9 relative.
+    the FFT length. A call adds what depends on a block's times, and serves
+    every coefficient row on that block. The chirp is built from exact
+    phases pi scale j^2 / m with integer j^2, as in ``scipy.signal.ZoomFFT``;
+    raising a rounded W to powers up to (m + K)^2 / 2 instead drifts by
+    ~1e-9 relative.
     """
 
     def __init__(self, omegas: np.ndarray, d_omega: float, h: float, m: int, gain):
@@ -247,16 +246,13 @@ class _ChirpZ:
         self.w0, self.gain = omegas[0], gain
         self.buf = np.empty((0, self.n_fft), dtype=complex)
 
-    def twiddles(self, block: np.ndarray):
-        """Per-mode and per-time factors of the block of times ``block``."""
-        pre = np.exp(1j * self.k_dw * block[0]) * self.chirp[:len(self.k_dw)]
+    def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """The sums of every row of ``coeff`` at the block of times ``block``."""
+        n_modes = len(self.k_dw)
+        pre = np.exp(1j * self.k_dw * block[0]) * self.chirp[:n_modes]
         if self.gain is not None:
             pre *= self.gain
-        return pre, self.chirp[:len(block)] * np.exp(1j * self.w0 * block)
-
-    def __call__(self, coeff: np.ndarray, twiddles) -> np.ndarray:
-        pre, post = twiddles
-        n_modes = len(pre)
+        post = self.chirp[:len(block)] * np.exp(1j * self.w0 * block)
         if len(self.buf) < len(coeff):
             self.buf = np.empty((len(coeff), self.n_fft), dtype=complex)
         buf = self.buf[:len(coeff)]
@@ -277,25 +273,20 @@ class _Direct:
         self.omegas = omegas
         self.gain = 1.0 if gain is None else gain[:, None]
 
-    def twiddles(self, block: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.multiply.outer(self.omegas, block)) * self.gain
-
-    def __call__(self, coeff: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
-        return coeff @ twiddles
+    def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
+        return coeff @ (np.exp(1j * np.multiply.outer(self.omegas, block)) * self.gain)
 
 
-def phasor_blocks(omegas: np.ndarray, coeff: np.ndarray, times: np.ndarray, group: int,
+def phasor_blocks(omegas: np.ndarray, coeff: np.ndarray, times: np.ndarray,
                   gain: np.ndarray | None = None):
-    """Yield ``(rows, cols, values)``: sum_k g_k c_k e^{i w_k t} in pieces.
+    """Yield ``(cols, values)``: sum_k g_k c_k e^{i w_k t} in time blocks.
 
     ``coeff`` holds R realizations' complex coefficients realization-major,
     shape (R, K), and ``gain`` (K,) is an optional per-mode factor g_k. Each
-    item is one realization group ``rows`` of at most ``group`` rows at the
-    times ``times[cols]``, a complex (rows, cols) array that is a view of a
-    reused buffer, valid until the next item. Time blocks of at most
-    ``_BLOCK`` times are the outer loop: one plan serves every block, a
-    block's twiddles serve every group, and the working memory is
-    O((m + K) group).
+    item is every realization at the times ``times[cols]``, at most
+    ``_BLOCK`` of them, a complex (R, cols) array that is a view of a reused
+    buffer, valid until the next item. One plan serves every block, and the
+    working memory is O((m + K) R).
 
     When ``omegas`` and ``times`` are both equally spaced grids, each block is
     a chirp-z transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K))
@@ -311,10 +302,7 @@ def phasor_blocks(omegas: np.ndarray, coeff: np.ndarray, times: np.ndarray, grou
             else _ChirpZ(omegas, d_omega, h, m, gain))
     for start in range(0, n_times, m):
         block = times[start:start + m]
-        twiddles = plan.twiddles(block)
-        for g in range(0, len(coeff), group):
-            rows = slice(g, g + group)
-            yield rows, slice(start, start + len(block)), plan(coeff[rows], twiddles)
+        yield slice(start, start + len(block)), plan(coeff, block)
 
 
 def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
@@ -327,8 +315,8 @@ def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     rows = np.atleast_2d(coeff)
     out = np.empty((len(rows), len(times)))
-    for group, cols, values in phasor_blocks(omegas, rows, times, len(rows)):
-        out[group, cols] = values.real
+    for cols, values in phasor_blocks(omegas, rows, times):
+        out[:, cols] = values.real
     return out if np.ndim(coeff) == 2 else out[0]
 
 

@@ -4,15 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from zitter.analysis import (
-    ensemble_stationary_variance,
-    fit_decay_rate,
-    oscillations_during_transition,
-    transition_time_from_fit,
-)
+from zitter.analysis import ensemble_stats, fit_decay_rate, transition_time_from_fit
 from zitter.dynamics import (
     FastMotionParams,
     Trajectory,
+    first_kept_sample,
     integrate_ensemble,
     integrate_transient,
 )
@@ -27,6 +23,12 @@ def damped_cosine(gamma, omega, t_max, dt=0.02):
     z = np.exp(-gamma * t) * np.cos(omega * t)
     zdot = np.exp(-gamma * t) * (-gamma * np.cos(omega * t) - omega * np.sin(omega * t))
     return Trajectory(times=t, z=z, zdot=zdot)
+
+
+def burn_in_stats(trajs, discard):
+    """ensemble_stats of each trajectory's mean z^2 after the burn-in fraction ``discard``."""
+    first = first_kept_sample(discard, len(trajs[0].z))
+    return ensemble_stats([np.mean(traj.z[first:] ** 2) for traj in trajs])
 
 
 class TestFitDecayRate:
@@ -102,12 +104,6 @@ class TestTransitionTime:
         assert t_est == pytest.approx(dc.T_tr, rel=1e-2)
         assert t_est == pytest.approx(0.53e-18, rel=2e-2)
 
-    def test_oscillation_count_examples(self, dc):
-        assert oscillations_during_transition(dc.T_tr, dc) == pytest.approx(1.0)
-        assert oscillations_during_transition(dc.T_C, dc) == pytest.approx(65.43, rel=1e-3)
-        with pytest.raises(ValueError, match="positive"):
-            oscillations_during_transition(0.0, dc)
-
 
 class TestEnsembleStatistics:
     def _constant_traj(self, value, n=100):
@@ -116,26 +112,26 @@ class TestEnsembleStatistics:
 
     def test_constant_trajectories(self):
         trajs = [self._constant_traj(2.0), self._constant_traj(2.0)]
-        stats = ensemble_stationary_variance(trajs, discard=0.25)
+        stats = burn_in_stats(trajs, discard=0.25)
         assert stats.mean_z2 == pytest.approx(4.0)
         assert stats.stderr == pytest.approx(0.0, abs=1e-15)
         assert stats.n_realizations == 2
 
     def test_between_realization_scatter(self):
         trajs = [self._constant_traj(v) for v in (1.0, 2.0, 3.0)]
-        stats = ensemble_stationary_variance(trajs, discard=0.0)
+        stats = burn_in_stats(trajs, discard=0.0)
         per_run = np.array([1.0, 4.0, 9.0])
         assert stats.mean_z2 == pytest.approx(per_run.mean())
         assert stats.stderr == pytest.approx(per_run.std(ddof=1) / math.sqrt(3))
 
     def test_requires_two_realizations(self):
         with pytest.raises(ValueError, match="2 realizations"):
-            ensemble_stationary_variance([self._constant_traj(1.0)], discard=0.0)
+            burn_in_stats([self._constant_traj(1.0)], discard=0.0)
 
     def test_discard_fraction_guard(self):
         trajs = [self._constant_traj(1.0), self._constant_traj(1.0)]
         with pytest.raises(ValueError, match="discard"):
-            ensemble_stationary_variance(trajs, discard=1.0)
+            burn_in_stats(trajs, discard=1.0)
 
     def test_variance_is_quadratic_in_drive(self):
         eps = 0.02
@@ -145,8 +141,8 @@ class TestEnsembleStatistics:
                                   8.0 / eps)
         loud = integrate_ensemble(eps, dataclasses.replace(sets, amplitudes=2.0 * sets.amplitudes),
                                   DT, 8.0 / eps)
-        s_base = ensemble_stationary_variance(base, discard=0.3)
-        s_loud = ensemble_stationary_variance(loud, discard=0.3)
+        s_base = burn_in_stats(base, discard=0.3)
+        s_loud = burn_in_stats(loud, discard=0.3)
         assert s_loud.mean_z2 / s_base.mean_z2 == pytest.approx(4.0, rel=1e-10)
 
     def test_stderr_shrinks_like_sqrt_n(self):
@@ -158,6 +154,6 @@ class TestEnsembleStatistics:
         for n in sizes:
             drives = synthesize_ensemble(spec, 256, child_seeds(99, n))
             trajs = integrate_ensemble(eps, drives, DT, 8.0 / eps)
-            errs.append(ensemble_stationary_variance(trajs, discard=0.3).stderr)
+            errs.append(burn_in_stats(trajs, discard=0.3).stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert -0.7 < slope < -0.3

@@ -310,13 +310,15 @@ class TestExitCodes:
         ({"scenario": "dirac", "params": {"energy_over_mc2": 1e287}}, "energy_over_mc2"),
         # under one carrier period: too few zero crossings to fit
         ({"scenario": "transient", "params": {"fit_window": [1, 2]}}, "fit_window"),
-        # run sizes past the budget: 3.2e13 steps, 8.5e12 values of z, 1.2e10 values
+        # run sizes past the budget: 3.2e13 steps, 2e11 mode coefficients, 1.2e10 values
         ({"scenario": "transient", "params": {"t_max": 1e12}}, "t_max"),
         ({"scenario": "stationary", "params": {"n_realizations": 100_000_000}},
          "n_realizations"),
-        # 2e6 mode coefficients, but z at 85,060 steps x 1000 = 8.5e7 values
-        ({"scenario": "stationary", "params": {"n_realizations": 1000}}, "n_realizations"),
         ({"scenario": "psd-check", "params": {"n_modes": 100_000_000}}, "n_modes"),
+        # trajectories past 6.25e6 steps at 64 bytes a step: 8.8e6, 1.4e7 and 1.9e7
+        ({"scenario": "transient", "params": {"t_max": 277332}}, "t_max"),
+        ({"scenario": "transient", "params": {"epsilon": 0.099, "t_max": 441297}}, "t_max"),
+        ({"scenario": "sweep-epsilon", "params": {"epsilons": [1e-5, 2e-5]}}, "epsilons"),
         # the Nyquist frequency pi / sample_dt must reach the band's edge 1.2
         ({"scenario": "psd-check", "params": {"sample_dt": 2.7}}, "sample_dt"),
         ({"scenario": "psd-check", "params": {"sample_dt": 3.0}}, "sample_dt"),
@@ -357,8 +359,9 @@ class TestExitCodes:
             "dirac-subnormal-period-1e300", "dirac-subnormal-period-1e290",
             "dirac-subnormal-step-1e287",
             "transient-window-too-short", "transient-too-many-steps",
-            "stationary-too-many-realizations", "stationary-too-many-z-values",
-            "psd-too-many-modes",
+            "stationary-too-many-realizations", "psd-too-many-modes",
+            "transient-trajectory-8.8e6-steps", "transient-trajectory-1.4e7-steps",
+            "sweep-trajectory-1.9e7-steps",
             "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
             "roots-epsilon-too-small", "transient-infinite-velocity",
             "transient-infinite-position", "stationary-horizon-rounding",
@@ -411,7 +414,9 @@ class TestExitCodes:
         {"scenario": "stationary"},
         json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
                     / "stationary.json").read_text()),
-    ], ids=["default", "perfbench"])
+        # 2e6 mode coefficients, charged 52.8 MB; z at its 85,060 steps is never formed
+        {"scenario": "stationary", "params": {"n_realizations": 1000}},
+    ], ids=["default", "perfbench", "1000-realizations"])
     def test_size_limit_admits_stationary(self, tmp_path, monkeypatch, config):
         # every check runs before the modes are synthesized; stop the run there
         class Admitted(Exception):

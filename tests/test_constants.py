@@ -3,15 +3,13 @@ import math
 
 import pytest
 
-from zitter import constants
+from zitter import constants, scenarios
 from zitter.constants import (
     FundamentalConstants,
     derive_constants,
-    from_sim_units,
     load_constants,
-    sim_units,
-    to_sim_units,
 )
+from zitter.dynamics import FastMotionParams, integrate_transient
 
 
 def rel(a, b):
@@ -84,33 +82,24 @@ class TestValidation:
 
 
 class TestSimUnits:
+    """Simulation units: time in 1/omega_C, length in lambda_C_bar."""
+
     def test_transition_time_in_sim_units(self, dc):
         # 2/epsilon with CODATA alpha
-        assert rel(to_sim_units(dc, dc.T_tr, "time"), 2.0 / dc.epsilon) < 1e-12
-        assert to_sim_units(dc, dc.T_tr, "time") == pytest.approx(411.1, rel=1e-3)
+        assert rel(dc.T_tr * dc.omega_C, 2.0 / dc.epsilon) < 1e-12
+        assert dc.T_tr * dc.omega_C == pytest.approx(411.1, rel=1e-3)
 
-    def test_unit_definitions(self, dc):
-        assert to_sim_units(dc, dc.lambda_C_bar, "length") == pytest.approx(1.0, rel=1e-15)
-        assert to_sim_units(dc, dc.omega_C, "frequency") == pytest.approx(1.0, rel=1e-15)
-        c = dc.lambda_C_bar * dc.omega_C
-        assert to_sim_units(dc, c, "velocity") == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("dimension", ["time", "length", "frequency", "velocity"])
-    @pytest.mark.parametrize("value", [1e-21, 3.7e-10, 5.0])
-    def test_round_trip(self, dc, dimension, value):
-        there = to_sim_units(dc, value, dimension)
-        back = from_sim_units(dc, there, dimension)
-        assert rel(back, value) < 1e-14
-
-    def test_unknown_dimension_rejected(self, dc):
-        with pytest.raises(ValueError, match="dimension"):
-            to_sim_units(dc, 1.0, "mass")
+    def test_unit_definitions(self, fc, dc):
+        # the velocity unit lambda_C_bar omega_C = (hbar / m c)(m c^2 / hbar) is c
+        assert rel(dc.lambda_C_bar * dc.omega_C, fc.c) < 1e-15
 
     def test_sim_units_fields(self, dc):
-        su = sim_units(dc)
-        assert su.time_unit == pytest.approx(1.0 / dc.omega_C)
-        assert su.length_unit == dc.lambda_C_bar
-        assert su.epsilon == dc.epsilon
+        # a trajectory's sidecar records the units its values are in
+        traj = integrate_transient(FastMotionParams(epsilon=dc.epsilon), 0.1, 1.0)
+        meta = scenarios._sidecar(traj, dc)
+        assert meta["time_unit_s"] == 1.0 / dc.omega_C
+        assert meta["length_unit_cm"] == dc.lambda_C_bar
+        assert meta["epsilon"] == dc.epsilon
 
 
 class TestConstantsFile:

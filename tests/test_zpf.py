@@ -169,15 +169,11 @@ class TestCoefficientKernel:
         (3, zpf._SCRATCH + 5),
     ], ids=["partial-last-block", "row-past-scratch"])
     def test_blocks_are_independent(self, n_real, n_modes):
-        shared = synthesize_ensemble(sed_drive_spectrum(0.05), n_modes, child_seeds(9, n_real))
-        per_row = np.outer(1.0 + np.arange(n_real), shared.amplitudes)
-        for ens in (shared, dataclasses.replace(shared, amplitudes=per_row)):
-            c = ens.coefficients(0.05)
-            for r in range(n_real):
-                amplitudes = ens.amplitudes if ens.amplitudes.ndim == 1 else per_row[r:r + 1]
-                row = dataclasses.replace(ens, amplitudes=amplitudes, phases=ens.phases[r:r + 1],
-                                          seeds=(ens.seeds[r],))
-                assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
+        ens = synthesize_ensemble(sed_drive_spectrum(0.05), n_modes, child_seeds(9, n_real))
+        c = ens.coefficients(0.05)
+        for r in range(n_real):
+            row = dataclasses.replace(ens, phases=ens.phases[r:r + 1], seeds=(ens.seeds[r],))
+            assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
 
     def test_memory_is_the_result_plus_one_scratch(self):
         # beyond the coefficients, the one-row arrays scenarios._stationary_bytes
@@ -388,6 +384,9 @@ class TestModeSetInvariants:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             ModeEnsemble(np.array([1.0, 2.0]), np.array([1.0]), np.array([[0.0, 0.0]]), (0,))
+        # one spectrum for every realization: amplitudes are (K,), not (R, K)
+        with pytest.raises(ValueError, match="length"):
+            ModeEnsemble(np.array([1.0, 2.0]), np.ones((2, 2)), np.zeros((2, 2)), (0, 1))
 
     def test_nonincreasing_frequencies_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
