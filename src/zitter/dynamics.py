@@ -133,11 +133,6 @@ _STREAM_BUDGET = 2**17
 _STREAM_GROUP = 32
 
 
-def _stream_rows(n_fft: int) -> int:
-    """Realizations per group of ``stationary_mean_z2`` at FFT length n_fft."""
-    return max(1, min(_STREAM_GROUP, _STREAM_BUDGET // n_fft))
-
-
 def _rk4_step(eps, h, z, v, g0, gm, g1):
     """One classical RK4 step of z'' = -z - eps*z' + g, with g at t, t+h/2, t+h."""
     k1v = g0 - z - eps * v
@@ -413,7 +408,7 @@ def _steady_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.
     np.fft.ifft(y_kernel, out=y_kernel)
 
     sums = np.empty(n_real)
-    group = _stream_rows(n_fft)
+    group = max(1, min(_STREAM_GROUP, _STREAM_BUDGET // n_fft))
     buf = np.empty((min(group, n_real), n_fft), dtype=complex)
     for start in range(0, n_real, group):
         rows = slice(start, start + group)

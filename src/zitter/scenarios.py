@@ -1,9 +1,9 @@
 """Named, seeded, fully parameterized experiment runs.
 
-Each scenario resolves its defaults against the loaded constants, records
-every effective parameter (plus the seed) in ``manifest.json``, and writes
-machine-readable CSV/JSON outputs. A manifest is itself a valid config, so
-any run can be reproduced from its manifest alone.
+Each run resolves its defaults against the loaded constants, passes one cost
+table before it starts, records every effective parameter (plus the seed) in
+``manifest.json``, and writes machine-readable CSV/JSON outputs. A manifest is
+itself a valid config, so any run can be reproduced from its manifest alone.
 """
 
 from __future__ import annotations
@@ -26,24 +26,8 @@ SCENARIO_NAMES = (
 
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
-#: most float64 values' worth (400 MB) that a run may hold or write
-_MAX_VALUES = 5 * 10**7
-#: bytes charged per trajectory step: a ``trajectory.csv`` row of three
-#: shortest-repr doubles takes about 64, more than the ~40 a run holds per
-#: step, so at most 6.25e6 steps (a 400 MB file) are admitted
-_STEP_BYTES = 64
-#: bytes ``stationary`` holds per mode and realization: the phase (8) and the
-#: complex drive coefficient (16)
-_COEFF_BYTES = 24
-#: the arrays of one row per mode (frequencies, transfer function, and the
-#: closed form's kernels of about 2K values with their temporaries) hold
-#: about as much as this many more realizations
-_ROW_ARRAYS = 8
-#: bytes per realization that ``zpf.child_seeds`` holds while it spawns the
-#: seeds, whatever the modes (41 MB for 10^5 realizations)
-_SEED_BYTES = 420
-#: bytes a stationary run holds whatever its modes and realizations
-_FIXED_BYTES = 2 * 10**6
+#: most bytes held, bytes written and microseconds of work that ``_cost`` admits
+_BUDGET = (400e6, 400e6, 30e6)
 
 
 @dataclass(frozen=True)
@@ -57,7 +41,7 @@ class Scenario:
 # config validation
 
 #: largest integer parameter: counts past it are not exact as doubles, and
-#: every size check computes in doubles
+#: the cost table computes in doubles
 _MAX_INT = 2**53
 
 
@@ -263,31 +247,6 @@ def validate_config(raw: dict) -> Scenario:
     return Scenario(name=name, seed=seed, params=params)
 
 
-def _check_size(n_values: float, what: str, value_bytes: int = 8) -> None:
-    """Refuse a run before it allocates or computes more than ``_MAX_VALUES`` float64s' worth."""
-    n_bytes = n_values * value_bytes
-    if not n_bytes <= 8 * _MAX_VALUES:
-        raise ConfigError(
-            f"{what} would come to {n_bytes / 10**6:.3g} MB, over the limit of "
-            f"{8 * _MAX_VALUES // 10**6} MB"
-        )
-
-
-def _stationary_bytes(n_modes: int, n_realizations: int) -> float:
-    """Most bytes ``stationary`` holds at once.
-
-    Every realization's phases and coefficients and its spawned seed, the
-    arrays of one row per mode, and the complex FFT buffer of one realization
-    group.
-    """
-    held = (_COEFF_BYTES * n_modes * (n_realizations + _ROW_ARRAYS)
-            + _SEED_BYTES * n_realizations + _FIXED_BYTES)
-    if not held <= 8 * _MAX_VALUES:
-        return held  # refused anyway; _fft_len need not search past 2 n_modes
-    n_fft = zpf._fft_len(2 * n_modes - 1)
-    return held + 16 * n_fft * min(n_realizations, dynamics._stream_rows(n_fft))
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -325,11 +284,6 @@ def _load_chain(params):
         raise ConfigError(f"constants_file {path!r} is unusable: {exc}") from exc
 
 
-def _implied_epsilon(dc):
-    """The epsilon the loaded constants imply, held to the range a given one must lie in."""
-    return _epsilon("epsilon implied by constants_file", dc.epsilon)
-
-
 def _recurrence_time(params) -> float:
     """t_rec of the n_modes frequencies that synthesis will put across the band.
 
@@ -343,6 +297,76 @@ def _recurrence_time(params) -> float:
         raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
                           "distinct equally spaced frequencies")
     return zpf.recurrence_time(zpf.mode_frequencies((lo, hi), n_modes, 2))
+
+
+def _resolve(name: str, params: dict, dc) -> dict:
+    """The params with the run-time defaults filled in, as the manifest records them.
+
+    An epsilon not given is the one the loaded constants imply, held to the
+    range a given one must lie in; run lengths are multiples of 1/epsilon.
+    """
+    p = dict(params)
+    key = "epsilons" if name == "roots" else "epsilon"
+    if key in p and p[key] is None:
+        eps = _epsilon("epsilon implied by constants_file", dc.epsilon)
+        p[key] = [1e-3, eps, 1e-2] if name == "roots" else eps
+    eps = p.get("epsilon")
+    defaults = {}
+    if name == "transient":
+        defaults = {"t_max": 6.0 / eps, "fit_window": [1.0 / eps, 6.0 / eps]}
+    elif name == "stationary":
+        defaults = {"t_max": 13.0 / eps, "discard_time": 3.0 / eps}
+    p.update((k, v) for k, v in defaults.items() if p[k] is None)
+    return p
+
+
+def _cost(name: str, p: dict) -> tuple[float, float, float]:
+    """Bytes held, bytes written and microseconds of work of a run with resolved params ``p``.
+
+    Each is a count of what the run does times a charge per unit, as
+    README's cost table lists and explains them. Raises ConfigError, naming
+    the params that set the charge, when one passes its ``_BUDGET``.
+    """
+    held, written, work, keys = 5e6, 32e3, 0.0, None
+    if name == "roots":
+        keys, n = "epsilons", len(p["epsilons"])
+        held, written, work = held + 3400 * n, written + 700 * n, work + 80.0 * n
+    elif name == "transient":
+        keys, dt, (start, end) = "t_max, dt and fit_window", p["dt"], p["fit_window"]
+        steps = p["t_max"] / dt
+        fitted = max(0.0, min(end, p["t_max"]) - start) / dt
+        held += 40 * steps + 80 * fitted
+        written += 75 * steps
+        work += 3.0 * steps + 0.1 * fitted
+    elif name == "sweep-epsilon":
+        # one run is held at a time, and 5/6 of its steps are fitted
+        keys, n = "epsilons and dt", len(p["epsilons"])
+        steps = [6.0 / eps / p["dt"] for eps in p["epsilons"]]
+        held += (40 + 80 * 5 / 6) * max(steps) + 200 * n
+        written += 110 * n
+        work += (0.2 + 0.1 * 5 / 6) * sum(steps) + 20.0 * n
+    elif name == "dirac":
+        keys, n = "n_samples", p["n_samples"]
+        held, written, work = held + 240 * n, written + 100 * n, work + 5.2 * n
+    elif name == "stationary":
+        keys, r, k = "n_modes and n_realizations", p["n_realizations"], p["n_modes"]
+        held += 420 * r + 24 * r * k + 300 * k + 2.4e6
+        work += 28.0 * r + 0.11 * r * k + 1.2 * k
+    elif name == "psd-check":
+        keys = "n_modes, n_realizations, band, sample_dt, segment_len and overlap"
+        r, k, seg = p["n_realizations"], p["n_modes"], p["segment_len"]
+        samples = 2.0 * math.pi * (k - 1) / (p["band"][1] - p["band"][0]) / p["sample_dt"]
+        block = min(samples, 8192)  # samples per time block of the mode sum
+        welch = (max(samples - seg, 0.0) / (seg - int(p["overlap"] * seg)) + 1) * seg
+        held += r * (420 + 24 * k + 8 * samples + 20 * (k + block)) + 16 * welch
+        written += 50 * (seg // 2 + 1)
+        work += r * (28.0 + 0.11 * k + 0.06 * (samples / 8192 + 1) * (k + block) + 0.014 * welch)
+    if not (held <= _BUDGET[0] and written <= _BUDGET[1] and work <= _BUDGET[2]):
+        raise ConfigError(
+            f"{name} would hold {held / 1e6:.4g} MB, write {written / 1e6:.4g} MB and "
+            f"take {work / 1e6:.4g} s of work, over the budgets of {_BUDGET[0] / 1e6:.0f} MB, "
+            f"{_BUDGET[1] / 1e6:.0f} MB and {_BUDGET[2] / 1e6:.0f} s; its size is set by {keys}")
+    return held, written, work
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +445,7 @@ def _sidecar(traj, dc, extra=None):
 
 
 def _run_transient(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
-    t_max = params["t_max"] if params["t_max"] is not None else 6.0 / eps
-    window = params["fit_window"] if params["fit_window"] is not None else [1.0 / eps, 6.0 / eps]
-    params.update(epsilon=eps, t_max=t_max, fit_window=window)
-    _check_size(t_max / params["dt"],
-                f"the trajectory of t_max / dt steps, at {_STEP_BYTES} bytes a step,",
-                value_bytes=_STEP_BYTES)
+    eps, t_max, window = params["epsilon"], params["t_max"], params["fit_window"]
     if window[1] > t_max:
         raise ConfigError(f"fit_window {window} must end by t_max {t_max:.6g}")
     span = analysis.min_fit_span(params["dt"])
@@ -464,17 +482,9 @@ def _run_transient(sc, out, fc, dc, params):
 
 
 def _run_stationary(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
-    t_max = params["t_max"] if params["t_max"] is not None else 13.0 / eps
-    discard_time = (params["discard_time"] if params["discard_time"] is not None
-                    else 3.0 / eps)
+    eps, t_max, discard_time = params["epsilon"], params["t_max"], params["discard_time"]
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
-    params.update(epsilon=eps, t_max=t_max, discard_time=discard_time)
-    _check_size(_stationary_bytes(params["n_modes"], params["n_realizations"]),
-                f"the mode coefficients, n_modes x (n_realizations + {_ROW_ARRAYS}) x "
-                f"{_COEFF_BYTES} bytes, the seeds, {_SEED_BYTES} bytes per realization, "
-                "and a realization group's FFT buffer,", value_bytes=1)
     # the drive horizon check of dynamics.integrate_ensemble, made before synthesis
     t_rec = _recurrence_time(params)
     t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)
@@ -507,7 +517,6 @@ def _run_stationary(sc, out, fc, dc, params):
 
 
 def _run_dirac(sc, out, fc, dc, params):
-    _check_size(params["n_samples"], "the velocity series of n_samples")
     energy = params["energy_over_mc2"] * fc.m * fc.c**2
     dp = dynamics.DiracFreeParticle(E=energy, p=params["momentum"],
                                     v0=params["v0_over_c"] * fc.c, fc=fc)
@@ -543,9 +552,6 @@ def _run_dirac(sc, out, fc, dc, params):
 
 
 def _run_sweep(sc, out, fc, dc, params):
-    _check_size(6.0 / min(params["epsilons"]) / params["dt"],
-                f"the trajectory of 6 / epsilon / dt steps at the smallest of epsilons, at "
-                f"{_STEP_BYTES} bytes a step,", value_bytes=_STEP_BYTES)
     rows = []
     for eps in params["epsilons"]:
         fm = dynamics.FastMotionParams(epsilon=eps)
@@ -571,8 +577,7 @@ def _run_sweep(sc, out, fc, dc, params):
 
 
 def _run_psd_check(sc, out, fc, dc, params):
-    eps = params["epsilon"] if params["epsilon"] is not None else _implied_epsilon(dc)
-    params.update(epsilon=eps)
+    eps = params["epsilon"]
     band = (params["band"][0], params["band"][1])
     sample_dt = params["sample_dt"]
     if sample_dt > math.pi / band[1]:
@@ -585,13 +590,7 @@ def _run_psd_check(sc, out, fc, dc, params):
         raise ConfigError(f"no Welch bin of width 2 pi / (segment_len sample_dt) = "
                           f"{bin_width:.6g} lies {margin_bins} bins inside the band {list(band)}; "
                           "raise segment_len")
-    _check_size(params["n_modes"] * params["n_realizations"],
-                "the mode coefficients, n_modes x n_realizations,")
-    t_rec = _recurrence_time(params)
-    _check_size(t_rec / sample_dt * params["n_realizations"],
-                "the field series of t_rec / sample_dt samples x n_realizations, with "
-                "t_rec = 2 pi / mode spacing of n_modes across the band,")
-    n_samples = int(t_rec / sample_dt)
+    n_samples = int(_recurrence_time(params) / sample_dt)
     if params["segment_len"] > n_samples:
         raise ConfigError(
             f"segment_len {params['segment_len']} exceeds the {n_samples} samples per "
@@ -643,9 +642,9 @@ _RUNNERS = {
 def run_scenario(sc: Scenario, out_dir: str) -> dict:
     """Run a validated scenario, writing outputs and a reproducibility manifest."""
     fc, dc = _load_chain(sc.params)
-    params = dict(sc.params)
-    if sc.name == "roots" and params["epsilons"] is None:
-        params["epsilons"] = [1e-3, _implied_epsilon(dc), 1e-2]
+    params = _resolve(sc.name, sc.params, dc)
+    # admitted or refused before any runner code runs or anything is written
+    _cost(sc.name, params)
     os.makedirs(out_dir, exist_ok=True)
     summary = _RUNNERS[sc.name](sc, out_dir, fc, dc, params)
     # written after the run so resolved (run-time) defaults are captured

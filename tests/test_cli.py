@@ -150,10 +150,9 @@ class TestScenarioRuns:
         assert run_scenario(sc, str(tmp_path))["mean_z2"] == pytest.approx(
             expected, rel=1e-12, abs=0.0)
 
-    def test_stationary_coefficient_footprint(self, tmp_path):
-        # the memory that the size limit charges a run with many modes: the
-        # modes' phases and coefficients, the arrays of one row per mode and
-        # a realization group's FFT buffer
+    def test_stationary_coefficient_footprint(self, tmp_path, dc):
+        # a run with many modes holds every realization's phases and
+        # coefficients, and no more than the cost table charges it
         import tracemalloc
 
         from zitter import scenarios
@@ -168,9 +167,46 @@ class TestScenarioRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        charged = scenarios._stationary_bytes(n_modes, n_real)
-        # every realization's phases and complex coefficients are held
-        assert 24 * n_modes * n_real <= peak <= charged
+        held = scenarios._cost(sc.name, scenarios._resolve(sc.name, sc.params, dc))[0]
+        assert 24 * n_modes * n_real <= peak <= held
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "constants"},
+        {"scenario": "roots"},
+        {"scenario": "roots", "params": {"epsilons": [1e-4 + 4e-5 * i for i in range(1000)]}},
+        {"scenario": "transient"},
+        # the fit's copies span the whole trajectory
+        {"scenario": "transient", "params": {"t_max": 1500.0, "fit_window": [1.0, 1500.0]}},
+        {"scenario": "stationary"},
+        {"scenario": "stationary", "params": {"n_realizations": 1000}},
+        {"scenario": "dirac"},
+        {"scenario": "dirac", "params": {"n_samples": 10000}},
+        {"scenario": "sweep-epsilon"},
+        {"scenario": "sweep-epsilon", "params": {"epsilons": [0.0005, 0.001]}},
+        {"scenario": "psd-check"},
+        {"scenario": "psd-check", "params": {"n_realizations": 32}},
+        # Welch segments that overlap by all but 41 samples
+        {"scenario": "psd-check", "params": {"segment_len": 4096, "overlap": 0.99}},
+    ], ids=["constants", "roots", "roots-1000", "transient", "transient-fit-all",
+            "stationary", "stationary-1000", "dirac", "dirac-10000", "sweep-epsilon",
+            "sweep-0.0005", "psd-check", "psd-32-realizations", "psd-welch-overlap"])
+    def test_run_stays_within_its_charge(self, tmp_path, dc, config):
+        # the cost table's held bytes bound the traced peak, and its written
+        # bytes the output directory, manifest included
+        import tracemalloc
+
+        from zitter import scenarios
+
+        sc = validate_config(dict(config, seed=1))
+        held, written, _ = scenarios._cost(sc.name, scenarios._resolve(sc.name, sc.params, dc))
+        tracemalloc.start()
+        try:
+            run_scenario(sc, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held
+        assert sum(f.stat().st_size for f in tmp_path.iterdir()) <= written
 
 
 class TestReproducibility:
@@ -310,15 +346,28 @@ class TestExitCodes:
         ({"scenario": "dirac", "params": {"energy_over_mc2": 1e287}}, "energy_over_mc2"),
         # under one carrier period: too few zero crossings to fit
         ({"scenario": "transient", "params": {"fit_window": [1, 2]}}, "fit_window"),
-        # run sizes past the budget: 3.2e13 steps, 2e11 mode coefficients, 1.2e10 values
+        # run sizes past the budgets: 3.2e13 steps, 2e11 mode coefficients, 1.2e10 values
         ({"scenario": "transient", "params": {"t_max": 1e12}}, "t_max"),
         ({"scenario": "stationary", "params": {"n_realizations": 100_000_000}},
          "n_realizations"),
         ({"scenario": "psd-check", "params": {"n_modes": 100_000_000}}, "n_modes"),
-        # trajectories past 6.25e6 steps at 64 bytes a step: 8.8e6, 1.4e7 and 1.9e7
+        # trajectories past 5.3e6 rows written at 75 bytes a row, or 3.7e6 steps held at
+        # 107 bytes a fitted step: 8.8e6, 1.4e7 and 1.9e7 steps
         ({"scenario": "transient", "params": {"t_max": 277332}}, "t_max"),
         ({"scenario": "transient", "params": {"epsilon": 0.099, "t_max": 441297}}, "t_max"),
         ({"scenario": "sweep-epsilon", "params": {"epsilons": [1e-5, 2e-5]}}, "epsilons"),
+        # 2.4 GB held at 240 bytes a sample; 793 MB held by 1600 series and
+        # their chirp-z buffers; 375 s of RK4 over 10^4 runs near 0.001; and
+        # 413 MB held by 120,000 roots' records
+        ({"scenario": "dirac", "params": {"n_samples": 10**7}}, "n_samples"),
+        ({"scenario": "psd-check", "params": {"n_realizations": 1600}}, "n_realizations"),
+        ({"scenario": "sweep-epsilon",
+          "params": {"epsilons": [1e-3 + 1e-7 * i for i in range(10_000)]}}, "epsilons"),
+        ({"scenario": "roots",
+          "params": {"epsilons": [1e-3 + 1e-9 * i for i in range(120_000)]}}, "epsilons"),
+        # Welch segments two samples apart: 1.8 GB of tapered segments and spectra
+        ({"scenario": "psd-check", "params": {"segment_len": 15000, "overlap": 0.9999}},
+         "overlap"),
         # the Nyquist frequency pi / sample_dt must reach the band's edge 1.2
         ({"scenario": "psd-check", "params": {"sample_dt": 2.7}}, "sample_dt"),
         ({"scenario": "psd-check", "params": {"sample_dt": 3.0}}, "sample_dt"),
@@ -361,7 +410,9 @@ class TestExitCodes:
             "transient-window-too-short", "transient-too-many-steps",
             "stationary-too-many-realizations", "psd-too-many-modes",
             "transient-trajectory-8.8e6-steps", "transient-trajectory-1.4e7-steps",
-            "sweep-trajectory-1.9e7-steps",
+            "sweep-trajectory-1.9e7-steps", "dirac-too-many-samples",
+            "psd-too-many-realizations", "sweep-too-many-epsilons", "roots-too-many-epsilons",
+            "psd-welch-segments-overlap",
             "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
             "roots-epsilon-too-small", "transient-infinite-velocity",
             "transient-infinite-position", "stationary-horizon-rounding",
@@ -414,7 +465,7 @@ class TestExitCodes:
         {"scenario": "stationary"},
         json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
                     / "stationary.json").read_text()),
-        # 2e6 mode coefficients, charged 52.8 MB; z at its 85,060 steps is never formed
+        # 2e6 mode coefficients, charged 56.4 MB held; z at its 85,060 steps is never formed
         {"scenario": "stationary", "params": {"n_realizations": 1000}},
     ], ids=["default", "perfbench", "1000-realizations"])
     def test_size_limit_admits_stationary(self, tmp_path, monkeypatch, config):

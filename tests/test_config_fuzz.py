@@ -1,9 +1,10 @@
-"""Config validation either accepts a config or refuses it with ConfigError.
+"""Config validation and admission either accept a config or refuse it with ConfigError.
 
-A property test over every scenario's schema: each parameter draws JSON-like
-values of every type, including integers far past the double range, NaN,
-infinities, subnormals and nested lists. Validation runs nothing, so no
-generated config is ever run.
+Property tests over every scenario's schema. For validation each parameter
+draws JSON-like values of every type, including integers far past the double
+range, NaN, infinities, subnormals and nested lists; for admission, values
+across the range validation admits. Neither runs anything, so no generated
+config is ever run.
 """
 
 import sys
@@ -43,3 +44,49 @@ def test_validation_returns_a_scenario_or_refuses(name, data):
     except ConfigError:
         return
     assert isinstance(sc, Scenario)
+
+
+# per parameter, values across the range validation admits, out to its ends
+POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+COUNT = st.one_of(st.integers(min_value=1, max_value=2**53), st.sampled_from([2, 16, 2**53]))
+PAIR = st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=2, max_size=2).map(sorted)
+EPSILON = st.floats(min_value=1e-20, max_value=0.1, exclude_max=True)
+ADMISSIBLE = {
+    "epsilon": EPSILON,
+    "epsilons": st.lists(EPSILON, min_size=1, max_size=5),
+    "dt": st.floats(min_value=5e-324, max_value=0.157),
+    "t_max": POSITIVE,
+    "fit_window": PAIR,
+    "z0_re": st.floats(min_value=-1e300, max_value=1e300),
+    "z0_im": st.floats(min_value=-1e300, max_value=1e300),
+    "n_modes": COUNT,
+    "band": PAIR,
+    "n_realizations": COUNT,
+    "discard_time": POSITIVE,
+    "energy_over_mc2": st.floats(min_value=1.0, max_value=1e300),
+    "momentum": st.floats(min_value=-1e300, max_value=1e300),
+    "v0_over_c": st.floats(min_value=-1.0, max_value=1.0),
+    "n_samples": COUNT,
+    "n_periods": POSITIVE,
+    "sample_dt": POSITIVE,
+    "segment_len": COUNT,
+    "overlap": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_admission_returns_charges_within_budget_or_refuses(name, data, dc):
+    # default resolution and the cost table run no scenario; a count of 2^53
+    # must be charged, not looped over
+    keys = [key for key in scenarios._SCHEMAS[name] if key != "constants_file"]
+    params = data.draw(st.fixed_dictionaries(
+        {}, optional={key: ADMISSIBLE[key] for key in keys}), label="params")
+    try:
+        sc = validate_config({"scenario": name, "params": params})
+        charges = scenarios._cost(name, scenarios._resolve(name, sc.params, dc))
+    except ConfigError:
+        return
+    assert len(charges) == len(scenarios._BUDGET) == 3
+    assert all(0.0 <= charge <= budget for charge, budget in zip(charges, scenarios._BUDGET))

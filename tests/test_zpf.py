@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zitter import scenarios, zpf
+from zitter import zpf
 from zitter.zpf import (
     ModeEnsemble,
     SpectrumModel,
@@ -176,8 +176,8 @@ class TestCoefficientKernel:
             assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
 
     def test_memory_is_the_result_plus_one_scratch(self):
-        # beyond the coefficients, the one-row arrays scenarios._stationary_bytes
-        # charges and the scratch, which its fixed 2 MB covers
+        # beyond the coefficients, eight rows of 24 bytes per mode and the
+        # scratch: 2^20 bytes
         import tracemalloc
 
         ens = synthesize_ensemble(sed_drive_spectrum(0.05), 4096, child_seeds(3, 64))
@@ -187,8 +187,7 @@ class TestCoefficientKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        allowed = (scenarios._ROW_ARRAYS * scenarios._COEFF_BYTES * 4096
-                   + 8 * zpf._SCRATCH)
+        allowed = 8 * 24 * 4096 + 8 * zpf._SCRATCH
         assert peak - c.nbytes <= allowed
 
 
