@@ -47,6 +47,24 @@ def min_fit_span(dt: float) -> float:
     return 2.0 * math.pi / 0.998 + 2.0 * dt
 
 
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through ``(x, y)``: slope, intercept and r^2.
+
+    Works from the centered sums sxx, sxy and syy. They are pairwise
+    ``np.sum`` reductions, not BLAS dot products, so the bits do not depend
+    on the BLAS thread count. r^2 = sxy^2 / (sxx syy), held to [0, 1]; it is
+    0 for a constant ``y``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    xc, yc = x - x_mean, y - y_mean
+    sxx, sxy, syy = float(np.sum(xc * xc)), float(np.sum(xc * yc)), float(np.sum(yc * yc))
+    slope = sxy / sxx
+    r_squared = 0.0 if syy == 0.0 else min(max(sxy * sxy / (sxx * syy), 0.0), 1.0)
+    return slope, y_mean - slope * x_mean, r_squared
+
+
 def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFit:
     """Fit decay rate and carrier to a decaying oscillation inside ``window``.
 
@@ -60,10 +78,12 @@ def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFi
             f"fit window [{t0}, {t1}] must lie inside the trajectory span "
             f"[{traj.times[0]}, {traj.times[-1]}]"
         )
-    mask = (traj.times >= t0) & (traj.times <= t1)
-    t = traj.times[mask]
-    z = traj.z[mask]
-    v = traj.zdot[mask]
+    # times strictly increase, so the samples in [t0, t1] are one slice
+    i0 = np.searchsorted(traj.times, t0, side="left")
+    i1 = np.searchsorted(traj.times, t1, side="right")
+    t = traj.times[i0:i1]
+    z = traj.z[i0:i1]
+    v = traj.zdot[i0:i1]
 
     # carrier from linearly interpolated zero crossings of z
     flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
@@ -75,14 +95,9 @@ def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFi
     envelope = np.hypot(z, v / carrier)
     if np.any(envelope <= 0.0):
         raise ValueError("quadrature envelope vanishes inside the fit window")
-    log_env = np.log(envelope)
-    slope, intercept = np.polyfit(t, log_env, 1)
-    residuals = log_env - (slope * t + intercept)
-    ss_tot = float(np.sum((log_env - log_env.mean()) ** 2))
-    r_squared = 0.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residuals**2)) / ss_tot
-    r_squared = min(max(r_squared, 0.0), 1.0)
+    slope, _, r_squared = line_fit(t, np.log(envelope))
     return TransientFit(
-        decay_rate=float(-slope),
+        decay_rate=-slope,
         carrier_freq=float(carrier),
         r_squared=r_squared,
         window=(float(t0), float(t1)),

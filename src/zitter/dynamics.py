@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import ModeEnsemble, _fft_len, _grid_step, phasor_blocks
+from .zpf import ModeEnsemble, _fft_len, _grid_step, _write_csv, phasor_blocks
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -531,7 +531,4 @@ def dirac_position_amplitude(dp: DiracFreeParticle) -> float:
 # trajectory I/O
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for t, z, v in zip(traj.times, traj.z, traj.zdot):
-            fh.write(f"{float(t)!r},{float(z)!r},{float(v)!r}\n")
+    _write_csv(path, TRAJECTORY_CSV_HEADER, (traj.times, traj.z, traj.zdot))

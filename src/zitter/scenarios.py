@@ -261,15 +261,6 @@ def _write_json(path: str, obj) -> None:
         fh.write(text + "\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-                               for x in row))
-            fh.write("\n")
-
-
 def _load_chain(params):
     path = params.get("constants_file")
     if path is None:
@@ -419,11 +410,11 @@ def _run_roots(sc, out, fc, dc, params):
             "runaway": cr.runaway,
             "vieta_max_rel_residual": vieta,
         })
-    _write_csv(
+    zpf._write_csv(
         os.path.join(out, "roots.csv"),
         "epsilon,re_physical,im_physical,re_perturbative,im_perturbative,"
         "abs_diff,runaway,vieta_max_rel_residual",
-        rows,
+        zip(*rows),
     )
     summary = {"roots": records}
     _write_json(os.path.join(out, "roots.json"), summary)
@@ -531,46 +522,41 @@ def _run_dirac(sc, out, fc, dc, params):
             f"both must be at least {sys.float_info.min:.6g} s, the smallest normal double")
     times = np.linspace(0.0, params["n_periods"] * period, params["n_samples"])
     velocity = dynamics.dirac_velocity(dp, times)
-    rows = [
-        (float(t), float(v.real), float(v.imag), float(abs(v) / fc.c))
-        for t, v in zip(times, velocity)
-    ]
+    speed = np.hypot(velocity.real, velocity.imag) / fc.c
     amplitude = dynamics.dirac_position_amplitude(dp)
     payload = {
         "oscillation_period_s": period,
         "position_amplitude_cm": amplitude,
         "position_amplitude_over_lambda_C_bar": amplitude / dc.lambda_C_bar,
         "mean_velocity_cm_per_s": fc.c**2 * dp.p / dp.E,
-        "max_abs_v_over_c": max(r[3] for r in rows),
-        "min_abs_v_over_c": min(r[3] for r in rows),
+        "max_abs_v_over_c": float(speed.max()),
+        "min_abs_v_over_c": float(speed.min()),
     }
     # the JSON goes first: a non-finite value refuses the run before the CSV is written
     _write_json(os.path.join(out, "dirac.json"), payload)
-    _write_csv(os.path.join(out, "dirac.csv"),
-               "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c", rows)
+    zpf._write_csv(os.path.join(out, "dirac.csv"),
+                   "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c",
+                   (times, velocity.real, velocity.imag, speed))
     return payload
 
 
 def _run_sweep(sc, out, fc, dc, params):
-    rows = []
-    for eps in params["epsilons"]:
+    epsilons, rates, r_squareds = params["epsilons"], [], []
+    for eps in epsilons:
         fm = dynamics.FastMotionParams(epsilon=eps)
         traj = dynamics.integrate_transient(fm, params["dt"], 6.0 / eps)
         fit = analysis.fit_decay_rate(traj, (1.0 / eps, 6.0 / eps))
-        rows.append((eps, fit.decay_rate, fit.r_squared))
-    _write_csv(os.path.join(out, "sweep.csv"), "epsilon,decay_rate,r_squared", rows)
-    eps_arr = np.array([r[0] for r in rows])
-    rate_arr = np.array([r[1] for r in rows])
-    slope, intercept = np.polyfit(eps_arr, rate_arr, 1)
-    fitted = slope * eps_arr + intercept
-    ss_tot = float(np.sum((rate_arr - rate_arr.mean()) ** 2))
-    r_squared = 1.0 - float(np.sum((rate_arr - fitted) ** 2)) / ss_tot
+        rates.append(fit.decay_rate)
+        r_squareds.append(fit.r_squared)
+    zpf._write_csv(os.path.join(out, "sweep.csv"), "epsilon,decay_rate,r_squared",
+                   (epsilons, rates, r_squareds))
+    slope, intercept, r_squared = analysis.line_fit(epsilons, rates)
     payload = {
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "r_squared": r_squared,
-        "slope_over_half": float(slope) / 0.5,
-        "n_points": len(rows),
+        "slope_over_half": slope / 0.5,
+        "n_points": len(epsilons),
     }
     _write_json(os.path.join(out, "regression.json"), payload)
     return payload

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 # numpy 2 loads these submodules on first use; load them with the package
@@ -21,6 +21,9 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 PSD_CSV_HEADER = "omega,psd"
+
+#: rows ``_write_csv`` formats and writes at a time
+_CSV_CHUNK = 8192
 
 #: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
 #: in (256 KB): the tangents and the scaled 1 / (1 + t^2), half each
@@ -350,7 +353,18 @@ def estimate_psd(values: Sequence[float], dt: float, segment_len: int,
 
 
 def psd_to_csv(omega: np.ndarray, psd: np.ndarray, path: str) -> None:
+    _write_csv(path, PSD_CSV_HEADER, (omega, psd))
+
+
+def _write_csv(path: str, header: str, columns: Iterable) -> None:
+    """Write equal-length columns as CSV rows of ``repr(float(value))``.
+
+    Rows are formatted ``_CSV_CHUNK`` at a time from Python floats and written
+    once per chunk, so at most one chunk of text is held.
+    """
+    arrays = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PSD_CSV_HEADER + "\n")
-        for w, s in zip(omega, psd):
-            fh.write(f"{float(w)!r},{float(s)!r}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(arrays[0]), _CSV_CHUNK):
+            rows = zip(*(map(repr, a[start:start + _CSV_CHUNK].tolist()) for a in arrays))
+            fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zitter.analysis import ensemble_stats, fit_decay_rate, transition_time_from_fit
+from zitter.analysis import ensemble_stats, fit_decay_rate, line_fit, transition_time_from_fit
 from zitter.dynamics import (
     FastMotionParams,
     Trajectory,
@@ -29,6 +29,35 @@ def burn_in_stats(trajs, discard):
     """ensemble_stats of each trajectory's mean z^2 after the burn-in fraction ``discard``."""
     first = first_kept_sample(discard, len(trajs[0].z))
     return ensemble_stats([np.mean(traj.z[first:] ** 2) for traj in trajs])
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**5])
+    def test_matches_polyfit_and_residual_r_squared(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-3.0, 50.0, n))
+        y = -0.37 * x + 12.5 + 4.0 * rng.standard_normal(n)
+        slope, intercept, r_squared = line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        residuals = y - (ref_slope * x + ref_intercept)
+        ref_r_squared = 1.0 - np.sum(residuals**2) / np.sum((y - y.mean()) ** 2)
+        assert slope == pytest.approx(ref_slope, rel=1e-12)
+        assert intercept == pytest.approx(ref_intercept, rel=1e-12)
+        assert r_squared == pytest.approx(ref_r_squared, abs=1e-12)
+        assert 0.0 < r_squared < 1.0
+
+    @pytest.mark.parametrize("slope, intercept", [(0.75, -3.5), (-2.0, 1e3), (1.0, 0.0)])
+    def test_exact_line_has_unit_r_squared(self, slope, intercept):
+        # dyadic values: every sample lies exactly on the line
+        x = 0.25 * np.arange(-400, 4000)
+        fit = line_fit(x, slope * x + intercept)
+        assert fit[0] == slope
+        assert fit[1] == intercept
+        assert abs(fit[2] - 1.0) <= math.ulp(1.0)
+
+    def test_constant_y_has_zero_r_squared(self):
+        slope, intercept, r_squared = line_fit(np.arange(50.0), np.full(50, 2.5))
+        assert (slope, intercept, r_squared) == (0.0, 2.5, 0.0)
 
 
 class TestFitDecayRate:
@@ -71,6 +100,20 @@ class TestFitDecayRate:
         early = fit_decay_rate(traj, (50.0, 450.0))
         late = fit_decay_rate(traj, (450.0, 850.0))
         assert early.decay_rate == pytest.approx(late.decay_rate, rel=5e-3)
+
+    @pytest.mark.parametrize("ends", [(100.0, 900.0), (100.3, 899.4), (99.5, 1000.5)],
+                             ids=["on-samples", "between-samples", "half-step-past-last"])
+    def test_window_holds_the_masked_samples(self, ends):
+        # ends in steps from the first sample: the fit sees exactly the
+        # samples that (times >= t0) & (times <= t1) selects
+        traj = damped_cosine(0.004, 1.0, 20.0)
+        t0, t1 = (traj.times[int(e)] + (e % 1.0) * traj.dt for e in ends)
+        mask = (traj.times >= t0) & (traj.times <= t1)
+        inside = Trajectory(times=traj.times[mask], z=traj.z[mask], zdot=traj.zdot[mask])
+        fit = fit_decay_rate(traj, (t0, t1))
+        ref = fit_decay_rate(inside, (inside.times[0], inside.times[-1]))
+        assert (fit.decay_rate, fit.carrier_freq, fit.r_squared) == (
+            ref.decay_rate, ref.carrier_freq, ref.r_squared)
 
     def test_window_outside_span_rejected(self):
         traj = damped_cosine(0.01, 1.0, 100.0)

@@ -3,9 +3,11 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zitter.cli import main
+from zitter.dynamics import DiracFreeParticle, dirac_velocity
 from zitter.scenarios import Scenario, run_scenario, validate_config
 
 
@@ -93,6 +95,25 @@ class TestScenarioRuns:
         assert payload["position_amplitude_over_lambda_C_bar"] == pytest.approx(0.5)
         assert payload["max_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
         assert payload["min_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc):
+        # |v| / c of each sample as abs() of a Python complex, which is libm's hypot
+        params = {"n_samples": 3001, "energy_over_mc2": 3.7, "momentum": 1e-17,
+                  "v0_over_c": 0.3, "n_periods": 17.5}
+        sc = validate_config({"scenario": "dirac", "params": params})
+        run_scenario(sc, str(tmp_path))
+        lines = (tmp_path / "dirac.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c"
+        times = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        energy = 3.7 * fc.m * fc.c**2
+        dp = DiracFreeParticle(E=energy, p=1e-17, v0=0.3 * fc.c, fc=fc)
+        rows = [(t, complex(v)) for t, v in zip(times.tolist(), dirac_velocity(dp, times))]
+        speeds = [abs(v) / fc.c for _, v in rows]
+        assert lines[1:] == [f"{t!r},{v.real!r},{v.imag!r},{u!r}"
+                             for (t, v), u in zip(rows, speeds)]
+        payload = read_json(tmp_path / "dirac.json")
+        assert (payload["max_abs_v_over_c"], payload["min_abs_v_over_c"]) == (
+            max(speeds), min(speeds))
 
     def test_sweep_epsilon(self, tmp_path):
         rc = main(["run", "--scenario", "sweep-epsilon", "--out", str(tmp_path)])

@@ -350,6 +350,37 @@ class TestPsdEstimation:
             estimate_psd(x, 0.1, 32, overlap=1.0)
 
 
+class TestCsvWriter:
+    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop."""
+
+    @staticmethod
+    def reference(header, a, b):
+        return header + "\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("n_rows", [zpf._CSV_CHUNK - 1, zpf._CSV_CHUNK, zpf._CSV_CHUNK + 1])
+    def test_rows_across_a_chunk_boundary(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        a = np.cumsum(rng.uniform(0.0, 0.1, n_rows))
+        b = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        path = tmp_path / "rows.csv"
+        zpf._write_csv(str(path), "a,b", (a, b))
+        assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
+
+    def test_extreme_values(self, tmp_path):
+        a = np.array([-0.0, 5e-324, 1e-05, 0.1, 1e16])
+        b = [1e16, 0.1, 1e-05, 5e-324, -0.0]  # a list column too
+        path = tmp_path / "extreme.csv"
+        zpf._write_csv(str(path), "a,b", (a, b))
+        text = path.read_text(encoding="utf-8")
+        assert text == self.reference("a,b", a, b)
+        assert text.splitlines()[1] == "-0.0,1e+16"
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        zpf._write_csv(str(path), "a,b", (np.empty(0), np.empty(0)))
+        assert path.read_text(encoding="utf-8") == "a,b\n"
+
+
 class TestUnitsConsistency:
     def test_physical_and_sim_synthesis_agree(self, fc, dc):
         """The scaled physical zero-point field equals the sim-unit drive.
