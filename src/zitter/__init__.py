@@ -22,7 +22,6 @@ from .dynamics import (
     characteristic_roots,
     dirac_position_amplitude,
     dirac_velocity,
-    integrate_ensemble,
     integrate_transient,
     rk4_transfer_max_rel_err,
     stationary_mean_z2,

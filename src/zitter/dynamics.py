@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import ModeEnsemble, _fft_len, _grid_step, _write_csv, phasor_blocks
+from .zpf import ModeEnsemble, _fft_len, _grid_step, _write_csv
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -172,69 +171,60 @@ def _rk4_map(epsilon: float, dt: float) -> tuple[complex, np.ndarray, np.ndarray
     return lams[0], vecs[:, 0], np.linalg.inv(vecs)[0] @ step
 
 
-def _free_modes(lam: complex, state: np.ndarray, n: int):
-    """Blocks (j, lam^j state ... ) covering j < n: the unforced mode in closed form.
-
-    ``state`` is a column, one mode value per realization; a block holds at
-    most ``_BLOCK`` steps, and lam times its last column starts the next.
-    """
-    powers = lam ** np.arange(_BLOCK)
-    for start in range(0, n, _BLOCK):
-        y = powers[:min(_BLOCK, n - start)] * state
-        state = lam * y[:, -1:]
-        yield start, y
-
-
 def _rk4(epsilon: float, z0: float, v0: float, dt: float,
          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unforced RK4 from (z0, v0); returns z and z' of shape (1, n+1).
+    """Unforced RK4 from (z0, v0); returns z and z' of shape (n+1,).
 
-    The recurrence without input is the closed form y_{n+1} = lam^n (lam y_0).
+    The recurrence without input is the closed form y_{n+1} = lam^n (lam y_0),
+    formed in blocks of at most ``_BLOCK`` steps; lam times a block's last
+    value starts the next.
     """
     lam, vec, to_mode = _rk4_map(epsilon, dt)
-    zs = np.empty((1, n_steps + 1))
+    zs = np.empty(n_steps + 1)
     vs = np.empty_like(zs)
-    zs[:, 0], vs[:, 0] = z0, v0
+    zs[0], vs[0] = z0, v0
     # the mode of M x_0, lam * y_0
-    state = np.full((1, 1), to_mode[0] * z0 + to_mode[1] * v0)
-    for start, y in _free_modes(lam, state, n_steps):
-        zs[:, start + 1:start + 1 + y.shape[1]] = 2.0 * (vec[0] * y).real
-        vs[:, start + 1:start + 1 + y.shape[1]] = 2.0 * (vec[1] * y).real
+    state = np.full(1, to_mode[0] * z0 + to_mode[1] * v0)
+    powers = lam ** np.arange(_BLOCK)
+    for start in range(0, n_steps, _BLOCK):
+        y = powers[:min(_BLOCK, n_steps - start)] * state
+        state = lam * y[-1:]
+        zs[start + 1:start + 1 + len(y)] = 2.0 * (vec[0] * y).real
+        vs[start + 1:start + 1 + len(y)] = 2.0 * (vec[1] * y).real
     return zs, vs
 
 
 def _transfer(lam, vec, to_mode, dt, omegas):
-    """RK4's discrete transfer functions H_d(w) of z and z', shape (2, K), and P(+-w).
+    """RK4's discrete transfer function H_d(w) of z, shape (K,), and P(+-w).
 
     For the input g = e^{iwt} the mode's input is u_n = b(w) e^{iw t_n} with
     b(w) = w0 + w1 e^{iwh/2} + w2 e^{iwh}, and its steady response is
     P(w) e^{iw t_n}, P(w) = b(w) / (e^{iwh} - lam). The conjugate mode
-    answers with conj P(-w), so x_n = H_d(w) e^{iw t_n} with
-    H_d = vec P(w) + conj(vec P(-w)): the z-transform of RK4's stability map
-    (Hairer, Norsett & Wanner, Solving ODEs I).
+    answers with conj P(-w), so z_n = H_d(w) e^{iw t_n} with
+    H_d = vec_0 P(w) + conj(vec_0 P(-w)): the z-transform of RK4's stability
+    map (Hairer, Norsett & Wanner, Solving ODEs I).
     """
     def steady(w):
         half = np.exp(0.5j * dt * w)
         return (to_mode[2] + to_mode[3] * half + to_mode[4] * half**2) / (half**2 - lam)
 
     p, p_neg = steady(omegas), steady(-omegas)
-    return vec[:, None] * p + np.conj(vec[:, None] * p_neg), p, p_neg
+    return vec[0] * p + np.conj(vec[0] * p_neg), p, p_neg
 
 
 class _DrivenRK4:
-    """RK4 of z'' = -z - eps*z' + D + eps*D' for an ensemble of drives, in closed form.
+    """RK4 of z'' = -z - eps*z' + D + eps*D' from rest for an ensemble of drives.
 
     The equation is linear and time-invariant and the drive is a mode sum,
-    so RK4's x_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n}
-    plus the free mode 2 Re(vec lam^n (y_0 - y_p(0))) that carries the
-    initial state. Here c_k are the complex coefficients of D + eps*D', held
+    so RK4's z_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n}
+    plus the free mode 2 Re(vec_0 lam^n (-y_p(0))) that starts the run at
+    rest. Here c_k are the complex coefficients of D + eps*D', held
     realization-major (R, K), and y_p(0) is the steady solution's mode at
-    t = 0. H_d enters the mode sum as a per-mode gain, so no (R, K) array of
-    c_k H_d(w_k) is formed.
+    t = 0. The run holds what the closed-form sums of ``stationary_mean_z2``
+    read: H_d on the modes and f = -lam y_p(0) per realization.
     """
 
-    def __init__(self, epsilon: float, ens: ModeEnsemble, dt: float, t_max: float,
-                 z0: float, zdot0: float):
+    def __init__(self, epsilon: float, ens: ModeEnsemble, dt: float, t_max: float):
         _check_epsilon(epsilon)
         self.dt, self.n_steps = dt, step_count(dt, t_max)
         self.lam, self.vec, to_mode = _rk4_map(epsilon, dt)
@@ -243,33 +233,13 @@ class _DrivenRK4:
                 f"t_max={dt * self.n_steps:.6g} reaches the drive validity horizon "
                 f"t_rec={ens.t_rec:.6g}"
             )
-        self.omegas, self.seeds = ens.omegas, ens.seeds
+        self.omegas = ens.omegas
         self.coeff = ens.coefficients(epsilon)
         self.transfer, p, p_neg = _transfer(self.lam, self.vec, to_mode, dt, self.omegas)
         # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no (R, K) temporary
         steady0 = 0.5 * (self.coeff @ p + np.conj(self.coeff @ np.conj(p_neg)))
-        # f = lam (y_0 - y_p(0)), the free mode one step on, as (Re f, -Im f)
-        free = to_mode[0] * z0 + to_mode[1] * zdot0 - self.lam * steady0
-        self.free = np.stack((free.real, -free.imag), axis=1)
-
-    def blocks(self, row: int):
-        """z (``row`` 0) or z' (1) at steps 0..N: ``(steps, values)`` items.
-
-        Each item holds every realization over one time block of ``steps``;
-        ``values`` is a real view of ``phasor_blocks``' buffer, valid until
-        the next item. The free mode at step n is Re(f u_n) with
-        u_n = 2 vec lam^(n-1), the same course for every realization: it is
-        built once per time block and added as one real product.
-        """
-        times = self.dt * np.arange(self.n_steps + 1)
-        for cols, values in phasor_blocks(self.omegas, self.coeff, times, self.transfer[row]):
-            lam_n = np.concatenate([y[0] for _, y in _free_modes(
-                self.lam, np.full((1, 1), self.lam ** (cols.start - 1)),
-                cols.stop - cols.start)])
-            u = 2.0 * self.vec[row] * lam_n
-            x = values.real
-            x += self.free @ np.stack((u.real, u.imag))
-            yield cols, x
+        # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on
+        self.free = -self.lam * steady0
 
 
 def step_count(dt: float, t_max: float) -> int:
@@ -284,44 +254,18 @@ def step_count(dt: float, t_max: float) -> int:
     return math.ceil(t_max / dt - 1e-9)
 
 
-def _trajectories(zs: np.ndarray, vs: np.ndarray, dt: float, epsilon: float,
-                  seeds: Sequence[int | None]) -> list[Trajectory]:
-    """One Trajectory per row of the integrator output, as row views."""
-    times = dt * np.arange(zs.shape[1])
-    return [
-        Trajectory(times=times, z=z, zdot=v,
-                   meta={"integrator": "rk4", "dt": dt, "epsilon": epsilon, "seed": seed})
-        for z, v, seed in zip(zs, vs, seeds)
-    ]
-
-
 def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Trajectory:
     """Integrate the unforced order-reduced fast-motion equation with fixed-step RK4.
 
     The run starts from ``params``' initial position and velocity, those of
-    the pure transient of amplitude z0. A driven single run is
-    ``integrate_ensemble`` of a one-row ensemble.
+    the pure transient of amplitude z0.
     """
     n_steps = step_count(dt, t_max)
-    zs, vs = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
-                  dt, n_steps)
-    return _trajectories(zs, vs, dt, params.epsilon, [None])[0]
-
-
-def integrate_ensemble(epsilon: float, drives: ModeEnsemble, dt: float,
-                       t_max: float, z0: float = 0.0, zdot0: float = 0.0) -> list[Trajectory]:
-    """Integrate every realization of an ensemble of drives, each from (z0, zdot0).
-
-    z and z' of every realization are one mode sum each, over all step
-    times, plus the free mode.
-    """
-    run = _DrivenRK4(epsilon, drives, dt, t_max, z0, zdot0)
-    zs, vs = (np.empty((len(run.coeff), run.n_steps + 1)) for _ in range(2))
-    for row, out in enumerate((zs, vs)):
-        for steps, x in run.blocks(row):
-            out[:, steps] = x
-    zs[:, 0], vs[:, 0] = z0, zdot0
-    return _trajectories(zs, vs, dt, epsilon, run.seeds)
+    z, zdot = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
+                   dt, n_steps)
+    return Trajectory(times=dt * np.arange(n_steps + 1), z=z, zdot=zdot,
+                      meta={"integrator": "rk4", "dt": dt, "epsilon": params.epsilon,
+                            "seed": None})
 
 
 def first_kept_sample(discard: float, n_samples: int) -> int:
@@ -413,7 +357,7 @@ def _steady_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.
     for start in range(0, n_real, group):
         rows = slice(start, start + group)
         b = buf[:len(sums[rows])]
-        np.multiply(run.coeff[rows], run.transfer[0], out=b[:, :n_modes])
+        np.multiply(run.coeff[rows], run.transfer, out=b[:, :n_modes])
         b[:, n_modes:] = 0.0
         np.fft.fft(b, axis=-1, out=b)
         sums[rows] = 0.5 * (np.einsum("ij,ij,j->i", b.real, b.real, x_kernel)
@@ -426,7 +370,7 @@ def _free_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.nd
     """Re sum_n (conj S_n + S_n) F_n + (sum_n |F_n|^2 + Re sum_n F_n^2) / 2, per realization.
 
     F_n = phi lam^n is the free mode, phi = 2 f vec_0 / lam with
-    f = lam (y_0 - y_p(0)). Each sum is geometric in n:
+    f = -lam y_p(0). Each sum is geometric in n:
     sum_n S_n F_n = phi sum_k b_k G(lam e^{i w_k h}), and sum_n conj(S_n) F_n
     the same with conj b and e^{-i w_k h}, formed as coeff @ (H_d G) with no
     (R, K) temporary.
@@ -439,7 +383,7 @@ def _free_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.nd
     it is small, and the phase of q^n does not drift by n times a rounding
     error.
     """
-    h, gain = run.dt, run.transfer[0]
+    h, gain = run.dt, run.transfer
     p0, e0 = _two_product(h, run.omegas[0])
     p1, e1 = _two_product(h, d_omega)
     k = np.arange(len(gain), dtype=float)
@@ -451,7 +395,7 @@ def _free_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.nd
         (gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
          gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
         axis=1)
-    phi = 2.0 * (run.free[:, 0] - 1j * run.free[:, 1]) * run.vec[0] / run.lam
+    phi = 2.0 * run.free * run.vec[0] / run.lam
     return ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
             + 0.5 * (np.abs(phi) ** 2 * _geometric_sum(2.0 * log_lam.real, first, count).real
                      + (phi**2 * _geometric_sum(2.0 * log_lam, first, count)).real))
@@ -461,8 +405,9 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
                        discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, in closed form, without forming z.
 
-    The same run as ``integrate_ensemble`` from rest, its z^2 averaged over
-    the steps ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
+    Each realization drives RK4 of the order-reduced equation from rest
+    (``_DrivenRK4``), and its z^2 is averaged over the steps
+    ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
     T_n = S_n + F_n, the steady mode sum and the free mode, so
     sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2: ``_steady_sums``
     gives the terms in S alone, ``_free_sums`` the rest. Neither cost nor
@@ -472,7 +417,7 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     d_omega = _grid_step(drives.omegas)
     if d_omega is None:
         raise ValueError("stationary_mean_z2 needs equally spaced mode frequencies")
-    run = _DrivenRK4(epsilon, drives, dt, t_max, 0.0, 0.0)
+    run = _DrivenRK4(epsilon, drives, dt, t_max)
     n_samples = run.n_steps + 1
     first = first_kept_sample(discard, n_samples)
     count = n_samples - first
@@ -488,7 +433,7 @@ def rk4_transfer_max_rel_err(epsilon: float, dt: float, omegas: np.ndarray) -> f
     e^{iwt}, and H_d its RK4 counterpart; the error falls as dt^4.
     """
     lam, vec, to_mode = _rk4_map(epsilon, dt)
-    h_d = _transfer(lam, vec, to_mode, dt, omegas)[0][0]
+    h_d = _transfer(lam, vec, to_mode, dt, omegas)[0]
     return float(np.max(np.abs(h_d * (1.0 - omegas**2 + 1j * epsilon * omegas) - 1.0)))
 
 

@@ -476,7 +476,7 @@ def _run_stationary(sc, out, fc, dc, params):
     eps, t_max, discard_time = params["epsilon"], params["t_max"], params["discard_time"]
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
-    # the drive horizon check of dynamics.integrate_ensemble, made before synthesis
+    # the drive horizon check of dynamics.stationary_mean_z2, made before synthesis
     t_rec = _recurrence_time(params)
     t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)
     if t_end >= t_rec:

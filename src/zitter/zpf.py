@@ -187,7 +187,7 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
 #: time samples per block of a mode sum; bounds its working memory
 _BLOCK = 8192
 #: largest deviation from an equally spaced grid, relative to the grid's
-#: largest magnitude, that the chirp-z path accepts; ``linspace`` and
+#: largest magnitude, that a mode sum accepts; ``linspace`` and
 #: ``step * arange`` grids deviate by about one ulp (~2e-16)
 _GRID_RTOL = 1e-13
 
@@ -219,25 +219,25 @@ def _fft_len(n: int) -> int:
 
 
 class _ChirpZ:
-    """Bluestein's chirp-z plan for sum_k g_k c_k e^{i w_k t}, w_k = w_0 + k dw.
+    """Bluestein's chirp-z plan for sum_k c_k e^{i w_k t}, w_k = w_0 + k dw.
 
     On a block of at most m times t_b + n h,
 
-        sum_k g_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [g_k c_k e^{i k dw t_b}] W^{kn},
+        sum_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [c_k e^{i k dw t_b}] W^{kn},
         W = e^{+i dw h},
 
     and Bluestein's (1970) identity kn = (k^2 + n^2 - (n - k)^2) / 2 turns the
     inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
     ``numpy.fft`` at a 5-smooth length >= K + m - 1. The plan holds what
     depends only on the modes and the step: the chirp, the kernel's FFT and
-    the FFT length. A call adds what depends on a block's times, and serves
-    every coefficient row on that block. The chirp is built from exact
+    the FFT length, and a reused buffer for R coefficient rows. A call adds
+    what depends on a block's times, and serves every row on that block. The chirp is built from exact
     phases pi scale j^2 / m with integer j^2, as in ``scipy.signal.ZoomFFT``;
     raising a rounded W to powers up to (m + K)^2 / 2 instead drifts by
     ~1e-9 relative.
     """
 
-    def __init__(self, omegas: np.ndarray, d_omega: float, h: float, m: int, gain):
+    def __init__(self, omegas: np.ndarray, d_omega: float, h: float, m: int, n_rows: int):
         n_modes = len(omegas)
         self.n_fft = _fft_len(n_modes + m - 1)
         # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
@@ -246,19 +246,18 @@ class _ChirpZ:
         self.kernel = np.fft.fft(
             1.0 / np.concatenate((self.chirp[n_modes - 1:0:-1], self.chirp[:m])), self.n_fft)
         self.k_dw = d_omega * np.arange(n_modes)
-        self.w0, self.gain = omegas[0], gain
-        self.buf = np.empty((0, self.n_fft), dtype=complex)
+        self.w0 = omegas[0]
+        self.buf = np.empty((n_rows, self.n_fft), dtype=complex)
 
     def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The sums of every row of ``coeff`` at the block of times ``block``."""
+        """The sums of every row of ``coeff`` at the block of times ``block``.
+
+        The result is a view of the plan's buffer, valid until the next call.
+        """
         n_modes = len(self.k_dw)
         pre = np.exp(1j * self.k_dw * block[0]) * self.chirp[:n_modes]
-        if self.gain is not None:
-            pre *= self.gain
         post = self.chirp[:len(block)] * np.exp(1j * self.w0 * block)
-        if len(self.buf) < len(coeff):
-            self.buf = np.empty((len(coeff), self.n_fft), dtype=complex)
-        buf = self.buf[:len(coeff)]
+        buf = self.buf
         buf[:, n_modes:] = 0.0
         np.multiply(coeff, pre, out=buf[:, :n_modes])
         np.fft.fft(buf, axis=-1, out=buf)
@@ -269,57 +268,33 @@ class _ChirpZ:
         return values
 
 
-class _Direct:
-    """sum_k g_k c_k e^{i w_k t} as a matrix product, O(N K); needs no grid structure."""
-
-    def __init__(self, omegas: np.ndarray, gain):
-        self.omegas = omegas
-        self.gain = 1.0 if gain is None else gain[:, None]
-
-    def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
-        return coeff @ (np.exp(1j * np.multiply.outer(self.omegas, block)) * self.gain)
-
-
-def phasor_blocks(omegas: np.ndarray, coeff: np.ndarray, times: np.ndarray,
-                  gain: np.ndarray | None = None):
-    """Yield ``(cols, values)``: sum_k g_k c_k e^{i w_k t} in time blocks.
-
-    ``coeff`` holds R realizations' complex coefficients realization-major,
-    shape (R, K), and ``gain`` (K,) is an optional per-mode factor g_k. Each
-    item is every realization at the times ``times[cols]``, at most
-    ``_BLOCK`` of them, a complex (R, cols) array that is a view of a reused
-    buffer, valid until the next item. One plan serves every block, and the
-    working memory is O((m + K) R).
-
-    When ``omegas`` and ``times`` are both equally spaced grids, each block is
-    a chirp-z transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K))
-    per row instead of O(m K); any other input (a single time, an irregular
-    grid) is summed directly.
-    """
-    n_times = len(times)
-    n_blocks = max(1, -(-n_times // _BLOCK))
-    m = max(1, -(-n_times // n_blocks))
-    d_omega = _grid_step(omegas)
-    h = _grid_step(times)
-    plan = (_Direct(omegas, gain) if d_omega is None or h is None
-            else _ChirpZ(omegas, d_omega, h, m, gain))
-    for start in range(0, n_times, m):
-        block = times[start:start + m]
-        yield slice(start, start + len(block)), plan(coeff, block)
-
-
 def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
-    """Evaluate Re sum_k c_k e^{i w_k t} on a set of times.
+    """Evaluate Re sum_k c_k e^{i w_k t} on an equally spaced grid of times.
 
     ``coeff`` is complex, (K,) for one realization or realization-major
     (R, K) for R realizations sharing the frequencies; the result has shape
-    (N,) or (R, N). See ``phasor_blocks`` for how it is evaluated.
+    (N,) or (R, N). Raises ValueError unless ``omegas`` and ``times`` are
+    both equally spaced grids of at least 2 points.
+
+    The times are taken in blocks of at most ``_BLOCK``, each a chirp-z
+    transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K)) per row
+    instead of O(m K). One plan serves every block, and the working memory
+    is O((m + K) R).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    d_omega, h = _grid_step(omegas), _grid_step(times)
+    if d_omega is None or h is None:
+        raise ValueError("phasor_sum needs equally spaced mode frequencies and times, "
+                         "at least 2 of each")
     rows = np.atleast_2d(coeff)
-    out = np.empty((len(rows), len(times)))
-    for cols, values in phasor_blocks(omegas, rows, times):
-        out[:, cols] = values.real
+    n_times = len(times)
+    n_blocks = -(-n_times // _BLOCK)
+    m = -(-n_times // n_blocks)
+    plan = _ChirpZ(omegas, d_omega, h, m, len(rows))
+    out = np.empty((len(rows), n_times))
+    for start in range(0, n_times, m):
+        block = times[start:start + m]
+        out[:, start:start + len(block)] = plan(rows, block).real
     return out if np.ndim(coeff) == 2 else out[0]
 
 

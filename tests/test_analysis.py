@@ -9,8 +9,8 @@ from zitter.dynamics import (
     FastMotionParams,
     Trajectory,
     first_kept_sample,
-    integrate_ensemble,
     integrate_transient,
+    stationary_mean_z2,
 )
 from zitter.zpf import child_seeds, sed_drive_spectrum, synthesize_ensemble
 
@@ -180,12 +180,9 @@ class TestEnsembleStatistics:
         eps = 0.02
         spec = sed_drive_spectrum(eps)
         sets = synthesize_ensemble(spec, 128, (21, 22, 23))
-        base = integrate_ensemble(eps, sets, DT,
-                                  8.0 / eps)
-        loud = integrate_ensemble(eps, dataclasses.replace(sets, amplitudes=2.0 * sets.amplitudes),
-                                  DT, 8.0 / eps)
-        s_base = burn_in_stats(base, discard=0.3)
-        s_loud = burn_in_stats(loud, discard=0.3)
+        loud = dataclasses.replace(sets, amplitudes=2.0 * sets.amplitudes)
+        s_base = ensemble_stats(stationary_mean_z2(eps, sets, DT, 8.0 / eps, 0.3))
+        s_loud = ensemble_stats(stationary_mean_z2(eps, loud, DT, 8.0 / eps, 0.3))
         assert s_loud.mean_z2 / s_base.mean_z2 == pytest.approx(4.0, rel=1e-10)
 
     def test_stderr_shrinks_like_sqrt_n(self):
@@ -196,7 +193,7 @@ class TestEnsembleStatistics:
         sizes = (8, 32, 128)
         for n in sizes:
             drives = synthesize_ensemble(spec, 256, child_seeds(99, n))
-            trajs = integrate_ensemble(eps, drives, DT, 8.0 / eps)
-            errs.append(burn_in_stats(trajs, discard=0.3).stderr)
+            errs.append(ensemble_stats(stationary_mean_z2(eps, drives, DT, 8.0 / eps,
+                                                          0.3)).stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert -0.7 < slope < -0.3

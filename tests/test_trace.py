@@ -57,5 +57,10 @@ def test_no_span_records_a_count_error(tmp_path, tracer, config):
     if config["scenario"] == "transient":
         assert totals["dynamics.integrate_transient.steps"] > 0
         assert totals["dynamics.trajectory_to_csv.bytes"] > 0
+    # the layers the benchmark times are still public, so the tracer wraps them
+    if config["scenario"] == "stationary":
+        assert totals["dynamics.stationary_mean_z2.calls"] == 1
     if config["scenario"] == "psd-check":
         assert totals["zpf.psd_to_csv.bytes"] > 0
+        assert totals["zpf.phasor_sum.calls"] == 1
+        assert totals["zpf.synthesize_ensemble.calls"] == 1

@@ -192,14 +192,17 @@ class TestCoefficientKernel:
 
 
 class TestEvaluation:
-    # E = cos t and E' = -sin t for the single mode, so E + eps*E' = cos t - eps sin t
+    # E = cos t and E' = -sin t for the single mode, so E + eps*E' = cos t - eps sin t;
+    # evaluated on the grid of t = 0 and a quarter period
+    QUARTER = np.array([0.0, math.pi / 2.0])
+
     def test_single_mode_at_zero(self):
-        assert drive(single_mode(), 0.0)[0] == pytest.approx(1.0)
-        assert drive(single_mode(), 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-15)
+        assert drive(single_mode(), self.QUARTER)[0] == pytest.approx(1.0)
+        assert drive(single_mode(), self.QUARTER, 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_single_mode_quarter_period(self):
-        assert drive(single_mode(), math.pi / 2.0)[0] == pytest.approx(0.0, abs=1e-12)
-        assert drive(single_mode(), math.pi / 2.0, 1.0)[0] == pytest.approx(-1.0, rel=1e-9)
+        assert drive(single_mode(), self.QUARTER)[1] == pytest.approx(0.0, abs=1e-12)
+        assert drive(single_mode(), self.QUARTER, 1.0)[1] == pytest.approx(-1.0, rel=1e-9)
 
     def test_derivative_is_term_by_term(self):
         spec = sed_drive_spectrum(EPS_CODATA)
@@ -248,14 +251,9 @@ class TestModeSumOracle:
         (BAND_64, 137.5 + 0.37 * np.arange(300)),
         # crosses a block boundary; not a multiple of the block length
         (BAND_64, 3.0 + 0.11 * np.arange(zpf._BLOCK + 37)),
-        (BAND_64, np.array([42.25])),
-        (BAND_64, np.sort(np.random.default_rng(5).uniform(0.0, 400.0, 257))),
         # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
         (BAND_2000, 25000.0 + 2.0 * np.arange(3000)),
-        # irregular modes on a uniform time grid
-        (np.sort(np.random.default_rng(6).uniform(0.8, 1.2, 40)), 0.3 * np.arange(500)),
-    ], ids=["grid", "offset-grid", "multi-block", "single-time", "irregular-times",
-            "2000-modes-near-t_rec", "irregular-modes"])
+    ], ids=["grid", "offset-grid", "multi-block", "2000-modes-near-t_rec"])
     @pytest.mark.parametrize("n_real", [None, 3])
     def test_matches_double_sum(self, omegas, times, n_real):
         shape = (len(omegas),) if n_real is None else (len(omegas), n_real)
@@ -268,13 +266,18 @@ class TestModeSumOracle:
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
 
-
+    @pytest.mark.parametrize("omegas, times", [
+        (BAND_64, 42.25),
+        (BAND_64, np.sort(np.random.default_rng(5).uniform(0.0, 400.0, 257))),
+        # irregular modes on a uniform time grid
+        (np.sort(np.random.default_rng(6).uniform(0.8, 1.2, 40)), 0.3 * np.arange(500)),
+        (BAND_64, np.array([])),
+    ], ids=["single-time", "irregular-times", "irregular-modes", "no-times"])
     @pytest.mark.parametrize("n_real", [None, 3])
-    def test_no_times_gives_empty_sum(self, n_real):
-        shape = (64,) if n_real is None else (64, n_real)
-        got = phasor_sum(BAND_64, np.transpose(np.ones(shape) - 1j * np.ones(shape)),
-                         np.array([]))
-        assert got.shape == shape[1:] + (0,)
+    def test_refuses_off_grid(self, omegas, times, n_real):
+        shape = (len(omegas),) if n_real is None else (n_real, len(omegas))
+        with pytest.raises(ValueError, match="equally spaced"):
+            phasor_sum(omegas, np.ones(shape, dtype=complex), times)
 
 
 class TestPsdEstimation:
