@@ -19,7 +19,7 @@ the perturbative pair -eps/2 +- i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,36 +212,6 @@ def _transfer(lam, vec, to_mode, dt, omegas):
     return vec[0] * p + np.conj(vec[0] * p_neg), p, p_neg
 
 
-class _DrivenRK4:
-    """RK4 of z'' = -z - eps*z' + D + eps*D' from rest for an ensemble of drives.
-
-    The equation is linear and time-invariant and the drive is a mode sum,
-    so RK4's z_n is the steady mode sum Re sum_k c_k H_d(w_k) e^{i w_k t_n}
-    plus the free mode 2 Re(vec_0 lam^n (-y_p(0))) that starts the run at
-    rest. Here c_k are the complex coefficients of D + eps*D', held
-    realization-major (R, K), and y_p(0) is the steady solution's mode at
-    t = 0. The run holds what the closed-form sums of ``stationary_mean_z2``
-    read: H_d on the modes and f = -lam y_p(0) per realization.
-    """
-
-    def __init__(self, epsilon: float, ens: ModeEnsemble, dt: float, t_max: float):
-        _check_epsilon(epsilon)
-        self.dt, self.n_steps = dt, step_count(dt, t_max)
-        self.lam, self.vec, to_mode = _rk4_map(epsilon, dt)
-        if dt * self.n_steps >= ens.t_rec:
-            raise ValueError(
-                f"t_max={dt * self.n_steps:.6g} reaches the drive validity horizon "
-                f"t_rec={ens.t_rec:.6g}"
-            )
-        self.omegas = ens.omegas
-        self.coeff = ens.coefficients(epsilon)
-        self.transfer, p, p_neg = _transfer(self.lam, self.vec, to_mode, dt, self.omegas)
-        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no (R, K) temporary
-        steady0 = 0.5 * (self.coeff @ p + np.conj(self.coeff @ np.conj(p_neg)))
-        # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on
-        self.free = -self.lam * steady0
-
-
 def step_count(dt: float, t_max: float) -> int:
     """Steps of a run to t_max; the last may fall short of it by a rounding error."""
     if not 0.0 < dt <= MAX_DT:
@@ -321,25 +291,9 @@ def _two_sum(a, b):
     return s, (a - (s - b_part)) + (b - b_part)
 
 
-def _steady_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.ndarray:
-    """(sum_n |S_n|^2 + Re sum_n S_n^2) / 2 over the steps first .. N, per realization.
-
-    S_n = sum_k b_k e^{i w_k h n} with b = c H_d. On the grid w_k = w_0 + k dw
-    the two sums are a Toeplitz and a Hankel form in b,
-
-        sum_n |S_n|^2 = sum_jk conj(b_j) b_k D(k - j),  D(d) = sum_n e^{i d dw h n},
-        sum_n S_n^2   = sum_jk b_j b_k E(j + k),  E(s) = sum_n e^{i (2 w_0 + s dw) h n}.
-
-    With B the FFT of b at a length L >= 2K - 1, the forms embed in circulant
-    ones (as Bluestein's 1970 chirp-z does its convolution) and are
-    sum_m |B_m|^2 X_m and sum_m B_m^2 Y_m, where X and Y are the inverse FFTs
-    of D, laid out circularly, and of E. That is one FFT of length L per
-    realization, in groups of at most ``_STREAM_GROUP`` realizations and
-    ``_STREAM_BUDGET`` values.
-    """
-    n_real, n_modes = run.coeff.shape
-    n_fft = _fft_len(2 * n_modes - 1)
-    h = run.dt
+def _form_kernels(h: float, w0: float, d_omega: float, n_fft: int, first: int,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels X and Y of ``stationary_mean_z2``'s Toeplitz and Hankel forms."""
     # D at the offsets d = k - j, d >= 0 first; X is real, as D(-d) = conj D(d)
     # on every offset the form reads
     theta = np.arange(n_fft, dtype=float)
@@ -347,82 +301,112 @@ def _steady_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.
     theta *= h * d_omega
     kernel = _dirichlet(theta, first, count)
     x_kernel = np.fft.ifft(kernel, out=kernel).real.copy()
-    theta = h * (2.0 * run.omegas[0] + d_omega * np.arange(n_fft))
+    theta = h * (2.0 * w0 + d_omega * np.arange(n_fft))
     y_kernel = _dirichlet(theta, first, count)
     np.fft.ifft(y_kernel, out=y_kernel)
-
-    sums = np.empty(n_real)
-    group = max(1, min(_STREAM_GROUP, _STREAM_BUDGET // n_fft))
-    buf = np.empty((min(group, n_real), n_fft), dtype=complex)
-    for start in range(0, n_real, group):
-        rows = slice(start, start + group)
-        b = buf[:len(sums[rows])]
-        np.multiply(run.coeff[rows], run.transfer, out=b[:, :n_modes])
-        b[:, n_modes:] = 0.0
-        np.fft.fft(b, axis=-1, out=b)
-        sums[rows] = 0.5 * (np.einsum("ij,ij,j->i", b.real, b.real, x_kernel)
-                            + np.einsum("ij,ij,j->i", b.imag, b.imag, x_kernel)
-                            + np.einsum("ij,ij,j->i", b, b, y_kernel).real)
-    return sums
-
-
-def _free_sums(run: _DrivenRK4, d_omega: float, first: int, count: int) -> np.ndarray:
-    """Re sum_n (conj S_n + S_n) F_n + (sum_n |F_n|^2 + Re sum_n F_n^2) / 2, per realization.
-
-    F_n = phi lam^n is the free mode, phi = 2 f vec_0 / lam with
-    f = -lam y_p(0). Each sum is geometric in n:
-    sum_n S_n F_n = phi sum_k b_k G(lam e^{i w_k h}), and sum_n conj(S_n) F_n
-    the same with conj b and e^{-i w_k h}, formed as coeff @ (H_d G) with no
-    (R, K) temporary.
-
-    Early in the window S_n and F_n nearly cancel, so these sums and
-    sum |S_n|^2 can each be tens of times the result, and so can their
-    rounding errors. Two things keep them consistent: S here is the one
-    ``_steady_sums`` sums, on the grid w_0 + k dw exactly, and w_k h is
-    carried as hi + lo, so that arg lam -+ hi is exact near resonance, where
-    it is small, and the phase of q^n does not drift by n times a rounding
-    error.
-    """
-    h, gain = run.dt, run.transfer
-    p0, e0 = _two_product(h, run.omegas[0])
-    p1, e1 = _two_product(h, d_omega)
-    k = np.arange(len(gain), dtype=float)
-    q, e_q = _two_product(k, p1)
-    hi, e_s = _two_sum(p0, q)
-    lo = e_s + e_q + e0 + k * e1
-    log_lam = np.log(run.lam)
-    cross = run.coeff @ np.stack(
-        (gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
-         gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
-        axis=1)
-    phi = 2.0 * run.free * run.vec[0] / run.lam
-    return ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
-            + 0.5 * (np.abs(phi) ** 2 * _geometric_sum(2.0 * log_lam.real, first, count).real
-                     + (phi**2 * _geometric_sum(2.0 * log_lam, first, count)).real))
+    return x_kernel, y_kernel
 
 
 def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: float,
                        discard: float) -> np.ndarray:
     """Each realization's mean of z^2 after the burn-in, in closed form, without forming z.
 
-    Each realization drives RK4 of the order-reduced equation from rest
-    (``_DrivenRK4``), and its z^2 is averaged over the steps
-    ``first_kept_sample(discard, N+1)`` .. N. There z_n = Re T_n with
-    T_n = S_n + F_n, the steady mode sum and the free mode, so
-    sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2: ``_steady_sums``
-    gives the terms in S alone, ``_free_sums`` the rest. Neither cost nor
-    memory grows with the run's length. Raises ValueError unless the mode
-    grid is equally spaced, as every synthesized ensemble's is.
+    Each realization drives RK4 of z'' = -z - eps*z' + D + eps*D' from rest,
+    and its z^2 is averaged over the steps
+    ``first_kept_sample(discard, N+1)`` .. N. The equation is linear and
+    time-invariant and the drive is a mode sum, so RK4's z_n = Re T_n with
+    T_n = S_n + F_n: the steady mode sum S_n = sum_k b_k e^{i w_k h n},
+    b = c H_d with c the coefficients of D + eps*D' and H_d RK4's transfer
+    function, and the free mode F_n = phi lam^n that starts the run at rest,
+    phi = 2 f vec_0 / lam with f = -lam y_p(0) and y_p(0) the steady
+    solution's mode at t = 0. Then
+    sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2.
+
+    On the grid w_k = w_0 + k dw the terms in S alone are a Toeplitz and a
+    Hankel form in b,
+
+        sum_n |S_n|^2 = sum_jk conj(b_j) b_k D(k - j),  D(d) = sum_n e^{i d dw h n},
+        sum_n S_n^2   = sum_jk b_j b_k E(j + k),  E(s) = sum_n e^{i (2 w_0 + s dw) h n}.
+
+    With B the FFT of b at a length L >= 2K - 1, the forms embed in circulant
+    ones (as Bluestein's 1970 chirp-z does its convolution) and are
+    sum_m |B_m|^2 X_m and sum_m B_m^2 Y_m, where X and Y are the inverse FFTs
+    of D, laid out circularly, and of E. The rest is geometric in n:
+    sum_n S_n F_n = phi sum_k b_k G(lam e^{i w_k h}), sum_n conj(S_n) F_n
+    the same with conj b and e^{-i w_k h}, and sum_n |F_n|^2 and
+    sum_n F_n^2 are G at |lam|^2 and lam^2.
+
+    Early in the window S_n and F_n nearly cancel, so these sums and
+    sum |S_n|^2 can each be tens of times the result, and so can their
+    rounding errors. Two things keep them consistent: the cross terms sum
+    the S of the FFT, on the grid w_0 + k dw exactly, and w_k h is carried
+    as hi + lo, so that arg lam -+ hi is exact near resonance, where it is
+    small, and the phase of q^n does not drift by n times a rounding error.
+
+    The realizations go in groups of at most ``_STREAM_GROUP`` rows and
+    ``_STREAM_BUDGET`` FFT values; a group's coefficients are formed from
+    its rows of the phases, and its b and B share one reused buffer, so the
+    run holds no (R, K) array beyond the phases. Neither cost nor memory
+    grows with the run's length. Raises ValueError unless the mode grid is
+    equally spaced, as every synthesized ensemble's is.
     """
     d_omega = _grid_step(drives.omegas)
     if d_omega is None:
         raise ValueError("stationary_mean_z2 needs equally spaced mode frequencies")
-    run = _DrivenRK4(epsilon, drives, dt, t_max)
-    n_samples = run.n_steps + 1
+    _check_epsilon(epsilon)
+    n_steps = step_count(dt, t_max)
+    lam, vec, to_mode = _rk4_map(epsilon, dt)
+    if dt * n_steps >= drives.t_rec:
+        raise ValueError(
+            f"t_max={dt * n_steps:.6g} reaches the drive validity horizon "
+            f"t_rec={drives.t_rec:.6g}"
+        )
+    n_samples = n_steps + 1
     first = first_kept_sample(discard, n_samples)
     count = n_samples - first
-    sums = _free_sums(run, d_omega, first, count)
-    sums += _steady_sums(run, d_omega, first, count)
+
+    omegas = drives.omegas
+    n_real, n_modes = drives.phases.shape
+    gain, p, p_neg = _transfer(lam, vec, to_mode, dt, omegas)
+    n_fft = _fft_len(2 * n_modes - 1)
+    x_kernel, y_kernel = _form_kernels(dt, omegas[0], d_omega, n_fft, first, count)
+    # w_k h on the FFT's grid as hi + lo
+    p0, e0 = _two_product(dt, omegas[0])
+    p1, e1 = _two_product(dt, d_omega)
+    k = np.arange(n_modes, dtype=float)
+    q, e_q = _two_product(k, p1)
+    hi, e_s = _two_sum(p0, q)
+    lo = e_s + e_q + e0 + k * e1
+    log_lam = np.log(lam)
+    cross_modes = np.stack(
+        (gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
+         gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
+        axis=1)
+    free_abs2 = _geometric_sum(2.0 * log_lam.real, first, count).real
+    free_sq = _geometric_sum(2.0 * log_lam, first, count)
+
+    sums = np.empty(n_real)
+    group = max(1, min(_STREAM_GROUP, _STREAM_BUDGET // n_fft))
+    buf = np.empty((min(group, n_real), n_fft), dtype=complex)
+    for start in range(0, n_real, group):
+        rows = slice(start, start + group)
+        coeff = replace(drives, phases=drives.phases[rows],
+                        seeds=drives.seeds[rows]).coefficients(epsilon)
+        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no temporary of coeff's size
+        steady0 = 0.5 * (coeff @ p + np.conj(coeff @ np.conj(p_neg)))
+        # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on
+        free = -lam * steady0
+        phi = 2.0 * free * vec[0] / lam
+        cross = coeff @ cross_modes
+        sums[rows] = ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
+                      + 0.5 * (np.abs(phi) ** 2 * free_abs2 + (phi**2 * free_sq).real))
+        b = buf[:len(coeff)]
+        np.multiply(coeff, gain, out=b[:, :n_modes])
+        b[:, n_modes:] = 0.0
+        np.fft.fft(b, axis=-1, out=b)
+        sums[rows] += 0.5 * (np.einsum("ij,ij,j->i", b.real, b.real, x_kernel)
+                             + np.einsum("ij,ij,j->i", b.imag, b.imag, x_kernel)
+                             + np.einsum("ij,ij,j->i", b, b, y_kernel).real)
     return sums / count
 
 

@@ -421,8 +421,8 @@ def _run_roots(sc, out, fc, dc, params):
     return summary
 
 
-def _sidecar(traj, dc, extra=None):
-    payload = {
+def _sidecar(traj, dc):
+    return {
         "time_unit_s": 1.0 / dc.omega_C,
         "length_unit_cm": dc.lambda_C_bar,
         "dt": traj.meta["dt"],
@@ -430,9 +430,6 @@ def _sidecar(traj, dc, extra=None):
         "integrator": traj.meta["integrator"],
         "seed": traj.meta["seed"],
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _run_transient(sc, out, fc, dc, params):

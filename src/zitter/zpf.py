@@ -167,7 +167,8 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
 
     The frequencies and amplitudes are computed once for all realizations;
     row r of the phases is ``numpy.random.default_rng(seeds[r])``'s
-    ``uniform(0, 2 pi, n_modes)``.
+    ``uniform(0, 2 pi, n_modes)``, which is 0 + 2 pi U for its
+    ``random(n_modes)`` draws U: the rows are drawn in place and scaled once.
     """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
@@ -179,7 +180,8 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
     amplitudes = np.sqrt(2.0 * psd_values * d_omega)
     phases = np.empty((len(seeds), n_modes))
     for row, seed in zip(phases, seeds):
-        row[:] = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_modes)
+        np.random.default_rng(seed).random(out=row)
+    phases *= 2.0 * math.pi
     return ModeEnsemble(omegas=omegas, amplitudes=amplitudes, phases=phases,
                         seeds=tuple(int(s) for s in seeds))
 

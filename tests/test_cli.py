@@ -172,24 +172,28 @@ class TestScenarioRuns:
             expected, rel=1e-12, abs=0.0)
 
     def test_stationary_coefficient_footprint(self, tmp_path, dc):
-        # a run with many modes holds every realization's phases and
-        # coefficients, and no more than the cost table charges it
+        # a run with many modes holds every realization's phases, no more
+        # than the cost table charges it, and one realization group's
+        # coefficients: an added realization adds its 8-byte phases alone
         import tracemalloc
 
         from zitter import scenarios
 
-        n_modes, n_real, t_max = 20_000, 50, 200.0
-        sc = validate_config({"scenario": "stationary", "seed": 1, "params": {
-            "n_modes": n_modes, "n_realizations": n_real, "t_max": t_max,
-            "discard_time": 50.0}})
-        tracemalloc.start()
-        try:
-            run_scenario(sc, str(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = scenarios._cost(sc.name, scenarios._resolve(sc.name, sc.params, dc))[0]
-        assert 24 * n_modes * n_real <= peak <= held
+        n_modes, t_max = 20_000, 200.0
+        peaks = {}
+        for n_real in (50, 150):
+            sc = validate_config({"scenario": "stationary", "seed": 1, "params": {
+                "n_modes": n_modes, "n_realizations": n_real, "t_max": t_max,
+                "discard_time": 50.0}})
+            tracemalloc.start()
+            try:
+                run_scenario(sc, str(tmp_path / str(n_real)))
+                peaks[n_real] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = scenarios._cost(sc.name, scenarios._resolve(sc.name, sc.params, dc))[0]
+            assert 8 * n_modes * n_real <= peaks[n_real] <= held
+        assert peaks[150] - peaks[50] <= 8 * n_modes * 100 + 2 * 10**6
 
     @pytest.mark.parametrize("config", [
         {"scenario": "constants"},

@@ -3,14 +3,20 @@
 Property tests over every scenario's schema. For validation each parameter
 draws JSON-like values of every type, including integers far past the double
 range, NaN, infinities, subnormals and nested lists; for admission, values
-across the range validation admits. Neither runs anything, so no generated
-config is ever run.
+across the range validation admits. Neither runs anything. The command line
+runs generated configs in child processes, each either admitted and cheap or
+refused, and is held to its exit-code contract.
 """
 
+import json
+import os
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zitter import scenarios
@@ -90,3 +96,75 @@ def test_admission_returns_charges_within_budget_or_refuses(name, data, dc):
         return
     assert len(charges) == len(scenarios._BUDGET) == 3
     assert all(0.0 <= charge <= budget for charge, budget in zip(charges, scenarios._BUDGET))
+
+
+# per parameter, small values validation admits, so that an admitted run is short
+SMALL = {
+    "epsilon": st.sampled_from([0.005, 0.05, 0.099]),
+    "epsilons": st.lists(st.sampled_from([0.01, 0.05, 0.09]), min_size=1, max_size=3),
+    "dt": st.sampled_from([0.01, scenarios._DEFAULT_DT, 0.157]),
+    "t_max": st.sampled_from([1.0, 60.0, 400.0]),
+    "fit_window": st.sampled_from([[1.0, 20.0], [10.0, 300.0]]),
+    "z0_re": st.sampled_from([0.0, 0.5, -2.0]),
+    "z0_im": st.sampled_from([0.0, 0.5, -2.0]),
+    "n_modes": st.sampled_from([2, 16, 300]),
+    "band": st.sampled_from([[0.8, 1.2], [0.5, 2.0], [0.99, 1.01]]),
+    "n_realizations": st.sampled_from([1, 2, 8]),
+    "discard_time": st.sampled_from([0.0, 20.0, 200.0]),
+    "energy_over_mc2": st.sampled_from([1.0, 3.0, 1e6]),
+    "momentum": st.sampled_from([0.0, 1e-17, -3e-16]),
+    "v0_over_c": st.sampled_from([0.0, 0.5, -1.0]),
+    "n_samples": st.sampled_from([2, 100, 2000]),
+    "n_periods": st.sampled_from([0.5, 2.0, 100.0]),
+    "sample_dt": st.sampled_from([0.1, 0.5, 2.0]),
+    "segment_len": st.sampled_from([16, 256, 1024]),
+    "overlap": st.sampled_from([0.0, 0.5, 0.9]),
+}
+#: the most work, in the cost table's microseconds, of a config run in a child
+_CHILD_WORK = 5e5
+#: the command line, under a 3 GB address-space limit that the child sets on
+#: itself: forking this threaded process to set it there is unsafe
+_CHILD = ("import resource, runpy; "
+          "resource.setrlimit(resource.RLIMIT_AS, "
+          "(3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+          "runpy.run_module('zitter.cli', run_name='__main__')")
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exits_0_2_or_3_and_refusals_write_nothing(data, dc):
+    name = data.draw(st.sampled_from(SCENARIO_NAMES), label="scenario")
+    keys = [key for key in scenarios._SCHEMAS[name] if key != "constants_file"]
+    # half the configs take small admissible values alone, so that many run
+    mixed = data.draw(st.booleans(), label="mixed")
+
+    def values(small):
+        return st.one_of(VALUES, small) if mixed else small
+
+    params = data.draw(st.fixed_dictionaries(
+        {}, optional={key: values(SMALL[key]) for key in keys}), label="params")
+    raw = {"scenario": name, "params": params}
+    if data.draw(st.booleans(), label="with seed"):
+        raw["seed"] = data.draw(values(st.integers(0, 2**64 - 1)), label="seed")
+    refused = False
+    try:
+        sc = validate_config(raw)
+        work = scenarios._cost(name, scenarios._resolve(name, sc.params, dc))[2]
+    except ConfigError:
+        refused = True  # refused configs run too
+    else:
+        assume(work <= _CHILD_WORK)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(raw))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, "run", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert not refused or proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode != 0:
+            assert not out.exists() or not any(out.iterdir()), proc.stderr
