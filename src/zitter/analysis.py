@@ -73,15 +73,16 @@ def fit_decay_rate(traj: Trajectory, window: tuple[float, float]) -> TransientFi
     it then holds the same samples as a window ending at the last one.
     """
     t0, t1 = window
-    if t0 < traj.times[0] or t1 > traj.times[-1] + 0.5 * traj.dt or t0 >= t1:
+    times = traj.times
+    if t0 < times[0] or t1 > times[-1] + 0.5 * traj.dt or t0 >= t1:
         raise ValueError(
             f"fit window [{t0}, {t1}] must lie inside the trajectory span "
-            f"[{traj.times[0]}, {traj.times[-1]}]"
+            f"[{times[0]}, {times[-1]}]"
         )
     # times strictly increase, so the samples in [t0, t1] are one slice
-    i0 = np.searchsorted(traj.times, t0, side="left")
-    i1 = np.searchsorted(traj.times, t1, side="right")
-    t = traj.times[i0:i1]
+    i0 = np.searchsorted(times, t0, side="left")
+    i1 = np.searchsorted(times, t1, side="right")
+    t = times[i0:i1]
     z = traj.z[i0:i1]
     v = traj.zdot[i0:i1]
 

@@ -63,10 +63,6 @@ def main(argv: list[str] | None = None) -> int:
             raw["seed"] = args.seed
         scenario = validate_config(raw)
         _make_out_dir(args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         run_scenario(scenario, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

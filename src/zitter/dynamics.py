@@ -19,13 +19,13 @@ the perturbative pair -eps/2 +- i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import ModeEnsemble, _fft_len, _grid_step, _write_csv
+from .zpf import ModeEnsemble, _fft_len, _write_csv
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -104,23 +104,19 @@ class FastMotionParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled (t, z, zdot) in simulation units."""
+    """z and zdot in simulation units at the times dt n, n = 0 .. N."""
 
-    times: np.ndarray
+    dt: float
     z: np.ndarray
     zdot: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (len(self.times) == len(self.z) == len(self.zdot)):
-            raise ValueError("times, z and zdot must have equal length")
-        if len(self.times) > 1 and (np.any(np.diff(self.times) <= 0.0)
-                                    or _grid_step(self.times) is None):
-            raise ValueError("times must be strictly increasing with uniform step")
+        if len(self.z) != len(self.zdot):
+            raise ValueError("z and zdot must have equal length")
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(len(self.z))
 
 
 #: steps per block of the closed-form free mode lam^j
@@ -233,9 +229,7 @@ def integrate_transient(params: FastMotionParams, dt: float, t_max: float) -> Tr
     n_steps = step_count(dt, t_max)
     z, zdot = _rk4(params.epsilon, params.initial_position, params.initial_velocity,
                    dt, n_steps)
-    return Trajectory(times=dt * np.arange(n_steps + 1), z=z, zdot=zdot,
-                      meta={"integrator": "rk4", "dt": dt, "epsilon": params.epsilon,
-                            "seed": None})
+    return Trajectory(dt=dt, z=z, zdot=zdot)
 
 
 def first_kept_sample(discard: float, n_samples: int) -> int:
@@ -347,12 +341,8 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     ``_STREAM_BUDGET`` FFT values; a group's coefficients are formed from
     its rows of the phases, and its b and B share one reused buffer, so the
     run holds no (R, K) array beyond the phases. Neither cost nor memory
-    grows with the run's length. Raises ValueError unless the mode grid is
-    equally spaced, as every synthesized ensemble's is.
+    grows with the run's length.
     """
-    d_omega = _grid_step(drives.omegas)
-    if d_omega is None:
-        raise ValueError("stationary_mean_z2 needs equally spaced mode frequencies")
     _check_epsilon(epsilon)
     n_steps = step_count(dt, t_max)
     lam, vec, to_mode = _rk4_map(epsilon, dt)
@@ -365,13 +355,13 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     first = first_kept_sample(discard, n_samples)
     count = n_samples - first
 
-    omegas = drives.omegas
+    omegas, w0, d_omega = drives.omegas, drives.band[0], drives.d_omega
     n_real, n_modes = drives.phases.shape
     gain, p, p_neg = _transfer(lam, vec, to_mode, dt, omegas)
     n_fft = _fft_len(2 * n_modes - 1)
-    x_kernel, y_kernel = _form_kernels(dt, omegas[0], d_omega, n_fft, first, count)
+    x_kernel, y_kernel = _form_kernels(dt, w0, d_omega, n_fft, first, count)
     # w_k h on the FFT's grid as hi + lo
-    p0, e0 = _two_product(dt, omegas[0])
+    p0, e0 = _two_product(dt, w0)
     p1, e1 = _two_product(dt, d_omega)
     k = np.arange(n_modes, dtype=float)
     q, e_q = _two_product(k, p1)
@@ -390,8 +380,7 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     buf = np.empty((min(group, n_real), n_fft), dtype=complex)
     for start in range(0, n_real, group):
         rows = slice(start, start + group)
-        coeff = replace(drives, phases=drives.phases[rows],
-                        seeds=drives.seeds[rows]).coefficients(epsilon)
+        coeff = replace(drives, phases=drives.phases[rows]).coefficients(epsilon)
         # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no temporary of coeff's size
         steady0 = 0.5 * (coeff @ p + np.conj(coeff @ np.conj(p_neg)))
         # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on

@@ -278,16 +278,16 @@ def _load_chain(params):
 def _recurrence_time(params) -> float:
     """t_rec of the n_modes frequencies that synthesis will put across the band.
 
-    Computed, before anything is synthesized, from the grid's first two
-    frequencies as ``zpf.ModeEnsemble.t_rec`` computes it. A mode spacing of
-    more than 2 ulp(hi) keeps every frequency of the grid distinct.
+    Computed before anything is synthesized, as ``zpf.ModeEnsemble.t_rec``
+    computes it. A mode spacing of more than 2 ulp(hi) keeps every frequency
+    of the grid distinct.
     """
     lo, hi = params["band"]
     n_modes = params["n_modes"]
     if not (hi - lo) / (n_modes - 1) > 2.0 * math.ulp(hi):
         raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
                           "distinct equally spaced frequencies")
-    return zpf.recurrence_time(zpf.mode_frequencies((lo, hi), n_modes, 2))
+    return zpf.recurrence_time((lo, hi), n_modes)
 
 
 def _resolve(name: str, params: dict, dc) -> dict:
@@ -421,17 +421,6 @@ def _run_roots(sc, out, fc, dc, params):
     return summary
 
 
-def _sidecar(traj, dc):
-    return {
-        "time_unit_s": 1.0 / dc.omega_C,
-        "length_unit_cm": dc.lambda_C_bar,
-        "dt": traj.meta["dt"],
-        "epsilon": traj.meta["epsilon"],
-        "integrator": traj.meta["integrator"],
-        "seed": traj.meta["seed"],
-    }
-
-
 def _run_transient(sc, out, fc, dc, params):
     eps, t_max, window = params["epsilon"], params["t_max"], params["fit_window"]
     if window[1] > t_max:
@@ -452,7 +441,9 @@ def _run_transient(sc, out, fc, dc, params):
     # fitted before anything is written: a run the fit refuses leaves no file
     fit = analysis.fit_decay_rate(traj, (window[0], window[1]))
     dynamics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-    _write_json(os.path.join(out, "trajectory_meta.json"), _sidecar(traj, dc))
+    _write_json(os.path.join(out, "trajectory_meta.json"), {
+        "time_unit_s": 1.0 / dc.omega_C, "length_unit_cm": dc.lambda_C_bar,
+        "dt": params["dt"], "epsilon": eps, "integrator": "rk4", "seed": None})
     t_est = analysis.transition_time_from_fit(fit, dc)
     payload = {
         "decay_rate": fit.decay_rate,
@@ -582,8 +573,7 @@ def _run_psd_check(sc, out, fc, dc, params):
     spectrum = zpf.sed_drive_spectrum(eps, band)
     fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
-    series = zpf.phasor_sum(fields.omegas, fields.coefficients(),
-                            sample_dt * np.arange(n_samples))
+    series = zpf.phasor_sum(band, fields.coefficients(), sample_dt, n_samples)
 
     psd_sum = None
     parseval_errs = []

@@ -64,56 +64,66 @@ def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -
     return SpectrumModel(psd=psd, band_lo=band[0], band_hi=band[1])
 
 
-def mode_frequencies(band, n_modes: int, count: int | None = None) -> np.ndarray:
-    """The first ``count`` (all by default) of n_modes equally spaced frequencies across ``band``.
+def mode_frequencies(band, n_modes: int) -> np.ndarray:
+    """n_modes equally spaced frequencies across ``band``: ``numpy.linspace``'s values.
 
-    They are ``numpy.linspace(lo, hi, n_modes)``'s values,
-    k (hi - lo) / (n_modes - 1) + lo with the last one hi, so a prefix comes
-    without building the rest.
+    They are k (hi - lo) / (n_modes - 1) + lo, with the last one hi.
     """
     lo, hi = band
-    count = n_modes if count is None else min(count, n_modes)
-    omegas = np.arange(count) * ((hi - lo) / (n_modes - 1)) + lo
-    if count == n_modes:
-        omegas[-1] = hi
+    omegas = np.arange(n_modes) * ((hi - lo) / (n_modes - 1)) + lo
+    omegas[-1] = hi
     return omegas
 
 
-def recurrence_time(omegas: np.ndarray) -> float:
-    """2*pi / (w_1 - w_0): a mode sum on an equally spaced grid repeats after it."""
-    return 2.0 * math.pi / float(omegas[1] - omegas[0])
+def recurrence_time(band, n_modes: int) -> float:
+    """2*pi / (w_1 - w_0) of ``mode_frequencies(band, n_modes)``; a mode sum repeats after it.
+
+    w_1 is (hi - lo) / (n_modes - 1) + lo, or hi at n_modes = 2, where
+    fl(fl(hi - lo) + lo) - lo is fl(hi - lo) again.
+    """
+    lo, hi = band
+    return 2.0 * math.pi / (((hi - lo) / (n_modes - 1) + lo) - lo)
 
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """R >= 1 realizations of one spectrum, held realization-major.
+    """R >= 1 realizations of one spectrum on K >= 2 equally spaced modes, held realization-major.
 
-    ``omegas`` and ``amplitudes`` have shape (K,), K >= 2, and ``phases``
-    (R, K).
+    The modes are ``mode_frequencies(band, K)``; ``amplitudes`` has shape
+    (K,) and ``phases`` (R, K).
     """
 
-    omegas: np.ndarray
+    band: tuple
     amplitudes: np.ndarray
     phases: np.ndarray
-    seeds: tuple
 
     def __post_init__(self) -> None:
-        n = len(self.omegas)
-        if n < 2:
-            raise ValueError(f"a mode grid needs at least 2 modes, got {n}")
         if np.ndim(self.phases) != 2 or len(self.phases) < 1:
             raise ValueError(f"phases must be (R, K) with at least one realization, "
                              f"got shape {np.shape(self.phases)}")
-        if np.shape(self.amplitudes) != (n,) or np.shape(self.phases)[-1] != n:
-            raise ValueError("amplitudes must be (K,) and phases (R, K), K the length "
-                             "of omegas")
-        if not np.all(np.diff(self.omegas) > 0.0):
-            raise ValueError("mode frequencies must be strictly increasing")
+        n = np.shape(self.phases)[1]
+        if n < 2:
+            raise ValueError(f"a mode grid needs at least 2 modes, got {n}")
+        if np.shape(self.amplitudes) != (n,):
+            raise ValueError("amplitudes must be (K,), K the length of a row of phases")
+        if not self.band[0] < self.band[1]:
+            raise ValueError("mode frequencies must be strictly increasing: the band "
+                             f"needs lo < hi, got {self.band}")
+
+    @property
+    def omegas(self) -> np.ndarray:
+        return mode_frequencies(self.band, len(self.amplitudes))
+
+    @property
+    def d_omega(self) -> float:
+        """(hi - lo) / (K - 1), the grid's step; the first step w_1 - w_0 may differ by an ulp."""
+        lo, hi = self.band
+        return (hi - lo) / (len(self.amplitudes) - 1)
 
     @property
     def t_rec(self) -> float:
-        """Recurrence time 2*pi/d_omega; statistics are invalid beyond it."""
-        return recurrence_time(self.omegas)
+        """Recurrence time 2*pi / (w_1 - w_0); statistics are invalid beyond it."""
+        return recurrence_time(self.band, len(self.amplitudes))
 
     def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
         """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
@@ -131,8 +141,9 @@ class ModeEnsemble:
         result, so nothing else of size (R, K) is formed.
         """
         n_modes = self.phases.shape[1]
-        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * self.omegas) ** 2)
-        shift = np.arctan(epsilon * self.omegas)
+        omegas = self.omegas
+        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * omegas) ** 2)
+        shift = np.arctan(epsilon * omegas)
         c = np.empty(self.phases.shape, dtype=complex)
         rows = max(1, _SCRATCH // (2 * n_modes))
         scratch = np.empty((2, rows * n_modes))
@@ -172,7 +183,8 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
     """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    omegas = mode_frequencies((spec.band_lo, spec.band_hi), n_modes)
+    band = (spec.band_lo, spec.band_hi)
+    omegas = mode_frequencies(band, n_modes)
     psd_values = np.asarray(spec.psd(omegas), dtype=float)
     if np.any(psd_values < 0.0) or not np.all(np.isfinite(psd_values)):
         raise ValueError("spectral density must be finite and non-negative on the band")
@@ -182,30 +194,11 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
     for row, seed in zip(phases, seeds):
         np.random.default_rng(seed).random(out=row)
     phases *= 2.0 * math.pi
-    return ModeEnsemble(omegas=omegas, amplitudes=amplitudes, phases=phases,
-                        seeds=tuple(int(s) for s in seeds))
+    return ModeEnsemble(band=band, amplitudes=amplitudes, phases=phases)
 
 
 #: time samples per block of a mode sum; bounds its working memory
 _BLOCK = 8192
-#: largest deviation from an equally spaced grid, relative to the grid's
-#: largest magnitude, that a mode sum accepts; ``linspace`` and
-#: ``step * arange`` grids deviate by about one ulp (~2e-16)
-_GRID_RTOL = 1e-13
-
-
-def _grid_step(x: np.ndarray) -> float | None:
-    """Spacing of ``x`` if it is an equally spaced grid of >= 2 points, else None."""
-    n = len(x)
-    if n < 2:
-        return None
-    step = float(x[-1] - x[0]) / (n - 1)
-    if step == 0.0:
-        return None
-    tol = _GRID_RTOL * max(abs(float(x[0])), abs(float(x[-1])))
-    if not np.max(np.abs(x - (x[0] + step * np.arange(n)))) <= tol:  # NaN: not a grid
-        return None
-    return step
 
 
 def _fft_len(n: int) -> int:
@@ -233,14 +226,14 @@ class _ChirpZ:
     ``numpy.fft`` at a 5-smooth length >= K + m - 1. The plan holds what
     depends only on the modes and the step: the chirp, the kernel's FFT and
     the FFT length, and a reused buffer for R coefficient rows. A call adds
-    what depends on a block's times, and serves every row on that block. The chirp is built from exact
-    phases pi scale j^2 / m with integer j^2, as in ``scipy.signal.ZoomFFT``;
-    raising a rounded W to powers up to (m + K)^2 / 2 instead drifts by
-    ~1e-9 relative.
+    what depends on a block's times, and serves every row on that block.
+    The chirp is built from exact phases pi scale j^2 / m with integer j^2,
+    as in ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
+    (m + K)^2 / 2 instead drifts by ~1e-9 relative.
     """
 
-    def __init__(self, omegas: np.ndarray, d_omega: float, h: float, m: int, n_rows: int):
-        n_modes = len(omegas)
+    def __init__(self, w0: float, d_omega: float, n_modes: int, h: float, m: int,
+                 n_rows: int):
         self.n_fft = _fft_len(n_modes + m - 1)
         # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
         scale = -m * d_omega * h / (2.0 * math.pi)
@@ -248,7 +241,7 @@ class _ChirpZ:
         self.kernel = np.fft.fft(
             1.0 / np.concatenate((self.chirp[n_modes - 1:0:-1], self.chirp[:m])), self.n_fft)
         self.k_dw = d_omega * np.arange(n_modes)
-        self.w0 = omegas[0]
+        self.w0 = w0
         self.buf = np.empty((n_rows, self.n_fft), dtype=complex)
 
     def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -270,32 +263,28 @@ class _ChirpZ:
         return values
 
 
-def phasor_sum(omegas: np.ndarray, coeff: np.ndarray, times) -> np.ndarray:
-    """Evaluate Re sum_k c_k e^{i w_k t} on an equally spaced grid of times.
+def phasor_sum(band, coeff: np.ndarray, h: float, n_times: int) -> np.ndarray:
+    """Evaluate Re sum_k c_k e^{i w_k t} at the n_times >= 1 times h n, n = 0, 1, ...
 
-    ``coeff`` is complex, (K,) for one realization or realization-major
-    (R, K) for R realizations sharing the frequencies; the result has shape
-    (N,) or (R, N). Raises ValueError unless ``omegas`` and ``times`` are
-    both equally spaced grids of at least 2 points.
+    The w_k are ``mode_frequencies(band, K)``, K >= 2 the length of a row of
+    the complex ``coeff``: (K,) for one realization or realization-major
+    (R, K) for R realizations sharing the frequencies. The result has shape
+    (N,) or (R, N).
 
     The times are taken in blocks of at most ``_BLOCK``, each a chirp-z
     transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K)) per row
     instead of O(m K). One plan serves every block, and the working memory
     is O((m + K) R).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    d_omega, h = _grid_step(omegas), _grid_step(times)
-    if d_omega is None or h is None:
-        raise ValueError("phasor_sum needs equally spaced mode frequencies and times, "
-                         "at least 2 of each")
+    lo, hi = band
     rows = np.atleast_2d(coeff)
-    n_times = len(times)
+    n_modes = rows.shape[1]
     n_blocks = -(-n_times // _BLOCK)
     m = -(-n_times // n_blocks)
-    plan = _ChirpZ(omegas, d_omega, h, m, len(rows))
+    plan = _ChirpZ(lo, (hi - lo) / (n_modes - 1), n_modes, h, m, len(rows))
     out = np.empty((len(rows), n_times))
     for start in range(0, n_times, m):
-        block = times[start:start + m]
+        block = h * np.arange(start, min(start + m, n_times))
         out[:, start:start + len(block)] = plan(rows, block).real
     return out if np.ndim(coeff) == 2 else out[0]
 

@@ -22,7 +22,7 @@ def damped_cosine(gamma, omega, t_max, dt=0.02):
     t = dt * np.arange(int(t_max / dt) + 1)
     z = np.exp(-gamma * t) * np.cos(omega * t)
     zdot = np.exp(-gamma * t) * (-gamma * np.cos(omega * t) - omega * np.sin(omega * t))
-    return Trajectory(times=t, z=z, zdot=zdot)
+    return Trajectory(dt=dt, z=z, zdot=zdot)
 
 
 def burn_in_stats(trajs, discard):
@@ -105,13 +105,14 @@ class TestFitDecayRate:
                              ids=["on-samples", "between-samples", "half-step-past-last"])
     def test_window_holds_the_masked_samples(self, ends):
         # ends in steps from the first sample: the fit sees exactly the
-        # samples that (times >= t0) & (times <= t1) selects
+        # samples that (times >= t0) & (times <= t1) selects, the ones a window
+        # from the first of them to the last holds
         traj = damped_cosine(0.004, 1.0, 20.0)
-        t0, t1 = (traj.times[int(e)] + (e % 1.0) * traj.dt for e in ends)
-        mask = (traj.times >= t0) & (traj.times <= t1)
-        inside = Trajectory(times=traj.times[mask], z=traj.z[mask], zdot=traj.zdot[mask])
+        times = traj.times
+        t0, t1 = (times[int(e)] + (e % 1.0) * traj.dt for e in ends)
+        kept = times[(times >= t0) & (times <= t1)]
         fit = fit_decay_rate(traj, (t0, t1))
-        ref = fit_decay_rate(inside, (inside.times[0], inside.times[-1]))
+        ref = fit_decay_rate(traj, (kept[0], kept[-1]))
         assert (fit.decay_rate, fit.carrier_freq, fit.r_squared) == (
             ref.decay_rate, ref.carrier_freq, ref.r_squared)
 
@@ -132,7 +133,7 @@ class TestFitDecayRate:
         dt = 0.02
         t = dt * np.arange(20000)
         z = np.cos(t) + 0.8 * rng.standard_normal(len(t))
-        traj = Trajectory(times=t, z=z, zdot=np.gradient(z, dt))
+        traj = Trajectory(dt=dt, z=z, zdot=np.gradient(z, dt))
         fit = fit_decay_rate(traj, (10.0, 390.0))
         assert fit.low_confidence
         assert fit.r_squared < 0.9
@@ -150,8 +151,7 @@ class TestTransitionTime:
 
 class TestEnsembleStatistics:
     def _constant_traj(self, value, n=100):
-        t = 0.1 * np.arange(n)
-        return Trajectory(times=t, z=np.full(n, value), zdot=np.zeros(n))
+        return Trajectory(dt=0.1, z=np.full(n, value), zdot=np.zeros(n))
 
     def test_constant_trajectories(self):
         trajs = [self._constant_traj(2.0), self._constant_traj(2.0)]

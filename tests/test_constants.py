@@ -9,7 +9,6 @@ from zitter.constants import (
     derive_constants,
     load_constants,
 )
-from zitter.dynamics import FastMotionParams, integrate_transient
 
 
 def rel(a, b):
@@ -93,13 +92,16 @@ class TestSimUnits:
         # the velocity unit lambda_C_bar omega_C = (hbar / m c)(m c^2 / hbar) is c
         assert rel(dc.lambda_C_bar * dc.omega_C, fc.c) < 1e-15
 
-    def test_sim_units_fields(self, dc):
-        # a trajectory's sidecar records the units its values are in
-        traj = integrate_transient(FastMotionParams(epsilon=dc.epsilon), 0.1, 1.0)
-        meta = scenarios._sidecar(traj, dc)
+    def test_sim_units_fields(self, dc, tmp_path):
+        # the sidecar a transient run writes records the units its trajectory is in
+        sc = scenarios.validate_config({"scenario": "transient", "params": {
+            "t_max": 100.0, "fit_window": [10.0, 100.0]}})
+        scenarios.run_scenario(sc, str(tmp_path))
+        meta = json.loads((tmp_path / "trajectory_meta.json").read_text())
         assert meta["time_unit_s"] == 1.0 / dc.omega_C
         assert meta["length_unit_cm"] == dc.lambda_C_bar
         assert meta["epsilon"] == dc.epsilon
+        assert (meta["dt"], meta["integrator"], meta["seed"]) == (sc.params["dt"], "rk4", None)
 
 
 class TestConstantsFile:

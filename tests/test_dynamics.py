@@ -133,9 +133,8 @@ class TestEnsemble:
             assert mean == pytest.approx(single[0], rel=1e-12, abs=0.0)
 
     def test_empty_ensemble_rejected(self):
-        omegas = np.linspace(0.8, 1.2, 4)
         with pytest.raises(ValueError, match="at least one"):
-            ModeEnsemble(omegas, np.ones(4), np.empty((0, 4)), ())
+            ModeEnsemble((0.8, 1.2), np.ones(4), np.empty((0, 4)))
 
 
 class TestStreamedStatistic:
@@ -198,12 +197,6 @@ class TestStreamedStatistic:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 10**6
-
-    def test_irregular_grid_rejected(self):
-        drives = ModeEnsemble(omegas=np.array([0.9, 0.95, 1.1]), amplitudes=np.full(3, 0.01),
-                              phases=np.zeros((1, 3)), seeds=(0,))
-        with pytest.raises(ValueError, match="equally spaced"):
-            dynamics.stationary_mean_z2(0.02, drives, DT, 100.0, 0.5)
 
     def test_discard_fraction_guard(self):
         drives = synthesize_ensemble(sed_drive_spectrum(0.02), 64, [1, 2])
@@ -278,7 +271,7 @@ def closed_form_z(epsilon, drives, dt, n_steps):
     coeff = drives.coefficients(epsilon)
     steady0 = 0.5 * (coeff @ p + np.conj(coeff @ np.conj(p_neg)))  # y_p(0)
     n = np.arange(n_steps + 1)
-    return (zpf.phasor_sum(drives.omegas, coeff * h_d, dt * n)
+    return (zpf.phasor_sum(drives.band, coeff * h_d, dt, n_steps + 1)
             + 2.0 * np.multiply.outer(-steady0, vec[0] * lam**n).real)
 
 
@@ -341,23 +334,9 @@ class TestGuards:
 
 
 class TestTrajectory:
-    def test_nonuniform_times_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            Trajectory(times=np.array([0.0, 0.1, 0.3]), z=np.zeros(3), zdot=np.zeros(3))
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            Trajectory(times=np.array([0.0, 0.1]), z=np.zeros(3), zdot=np.zeros(2))
-
-    def test_late_uniform_times_accepted(self):
-        # steps of 1e7 + dt n are rounded to ulp(1e7) ~ 1.9e-9, 6e-8 of dt: the
-        # grid is uniform to the precision of its largest time
-        times = 1e7 + DT * np.arange(1000)
-        traj = Trajectory(times=times, z=np.zeros(1000), zdot=np.zeros(1000))
-        assert traj.dt == times[1] - times[0]
-        times[500] += 1e-4
-        with pytest.raises(ValueError, match="uniform"):
-            Trajectory(times=times, z=np.zeros(1000), zdot=np.zeros(1000))
+            Trajectory(dt=0.1, z=np.zeros(3), zdot=np.zeros(2))
 
     def test_csv_round_trip(self, tmp_path):
         traj = integrate_transient(FastMotionParams(epsilon=0.01), DT, 5.0)

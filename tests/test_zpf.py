@@ -17,19 +17,22 @@ from zitter.zpf import (
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 
+GRID_COUNTS = [2, 3, 100, 2000, 4097]
+# (0.03, 0.32): k (hi - lo) / (n - 1) + lo misses hi at k = n - 1 for 3 and 100 modes
+GRID_BANDS = [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)]
 
-def drive(ens, t, epsilon=0.0):
-    """E + eps*E' of a one-row ensemble at the times t, on the integrator's drive path."""
-    return phasor_sum(ens.omegas, ens.coefficients(epsilon), t)[0]
+
+def drive(ens, h, n_times, epsilon=0.0):
+    """E + eps*E' of a one-row ensemble at the times h n, on the integrator's drive path."""
+    return phasor_sum(ens.band, ens.coefficients(epsilon), h, n_times)[0]
 
 
 def single_mode(amplitude=1.0, omega=1.0, phase=0.0, spacing=1e-3):
     """One active mode plus a silent companion (an ensemble needs >= 2 modes)."""
     return ModeEnsemble(
-        omegas=np.array([omega, omega + spacing]),
+        band=(omega, omega + spacing),
         amplitudes=np.array([amplitude, 0.0]),
         phases=np.array([[phase, 0.0]]),
-        seeds=(0,),
     )
 
 
@@ -38,8 +41,7 @@ class TestSynthesis:
         spec = SpectrumModel(psd=lambda w: np.zeros_like(w), band_lo=0.8, band_hi=1.2)
         ms = synthesize_ensemble(spec, 64, [3])
         assert np.all(ms.amplitudes == 0.0)
-        t = np.linspace(0.0, ms.t_rec * 0.9, 100)
-        assert np.all(drive(ms, t) == 0.0)
+        assert np.all(drive(ms, ms.t_rec * 0.9 / 99, 100) == 0.0)
 
     def test_same_seed_is_bit_identical(self):
         spec = sed_drive_spectrum(EPS_CODATA)
@@ -66,16 +68,15 @@ class TestSynthesis:
         # direct summation oracle vs long-time average over one recurrence
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 400, [7])
-        t = np.arange(int(ms.t_rec / 0.5)) * 0.5
-        e = drive(ms, t)
+        e = drive(ms, 0.5, int(ms.t_rec / 0.5))
         assert np.mean(e**2) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
     def test_amplitude_scaling_is_quadratic_in_variance(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 64, [11])
-        t = np.arange(int(ms.t_rec / 0.7)) * 0.7
-        base = drive(ms, t)
-        scaled = drive(dataclasses.replace(ms, amplitudes=3.0 * ms.amplitudes), t)
+        n = int(ms.t_rec / 0.7)
+        base = drive(ms, 0.7, n)
+        scaled = drive(dataclasses.replace(ms, amplitudes=3.0 * ms.amplitudes), 0.7, n)
         assert np.var(scaled) == pytest.approx(9.0 * np.var(base), rel=1e-12)
 
     def test_too_few_modes_rejected(self):
@@ -104,9 +105,8 @@ class TestEnsemble:
         seeds = child_seeds(2718, 5)
         ens = zpf.synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 300, seeds)
         assert ens.phases.shape == (5, 300)
-        assert ens.seeds == tuple(seeds)
         for row, seed in zip(ens.phases, seeds):
-            expected = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 300)
+            expected = np.random.default_rng(seed).random(300) * (2.0 * math.pi)
             assert row.tobytes() == expected.tobytes()
 
     def test_band_is_a_row_of_the_ensemble(self):
@@ -116,19 +116,26 @@ class TestEnsemble:
         assert np.array_equal(ms.omegas, ens.omegas)
         assert np.array_equal(ms.amplitudes, ens.amplitudes)
         assert np.array_equal(ms.phases, ens.phases[1:])
-        assert ms.seeds == (8,)
 
-    @pytest.mark.parametrize("n_modes", [2, 3, 100, 2000, 4097])
-    # (0.03, 0.32): k (hi - lo) / (n - 1) + lo misses hi at k = n - 1 for 3 and 100 modes
-    @pytest.mark.parametrize("band", [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)])
+    @pytest.mark.parametrize("n_modes", GRID_COUNTS)
+    @pytest.mark.parametrize("band", GRID_BANDS)
     def test_frequency_prefix_is_the_grids(self, n_modes, band):
         # the recurrence time a run is checked against before synthesis is the
-        # synthesized ensemble's, bit for bit
+        # grid's, from its first two frequencies, bit for bit
         grid = zpf.mode_frequencies(band, n_modes)
         assert grid.tobytes() == np.linspace(band[0], band[1], n_modes).tobytes()
-        assert zpf.mode_frequencies(band, n_modes, 2).tobytes() == grid[:2].tobytes()
+        assert zpf.recurrence_time(band, n_modes) == 2.0 * math.pi / (grid[1] - grid[0])
+
+    @pytest.mark.parametrize("n_modes", GRID_COUNTS)
+    @pytest.mark.parametrize("band", GRID_BANDS)
+    def test_grid_is_carried_as_band_and_count(self, n_modes, band):
+        # the step is the last frequency's distance from the first over K - 1,
+        # and the recurrence time is the first step's
         ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA, band), n_modes, [1])
-        assert zpf.recurrence_time(grid[:2]) == ens.t_rec
+        w = np.linspace(band[0], band[1], n_modes)
+        assert ens.omegas.tobytes() == w.tobytes()
+        assert ens.d_omega == (w[-1] - w[0]) / (n_modes - 1)
+        assert ens.t_rec == 2.0 * math.pi / (w[1] - w[0])
 
     @pytest.mark.parametrize("epsilon", [0.0, EPS_CODATA, 0.09])
     def test_coefficients_mode_by_mode(self, epsilon):
@@ -156,8 +163,8 @@ class TestCoefficientKernel:
                  math.nextafter(math.pi, math.inf), 1.5 * math.pi,
                  math.nextafter(2.0 * math.pi, 0.0)]
         theta = np.concatenate((np.linspace(0.0, top, 100_003), edges))
-        ens = ModeEnsemble(omegas=np.linspace(0.8, 1.2, len(theta)),
-                           amplitudes=np.ones(len(theta)), phases=theta[None, :], seeds=(0,))
+        ens = ModeEnsemble(band=(0.8, 1.2), amplitudes=np.ones(len(theta)),
+                           phases=theta[None, :])
         c = ens.coefficients()[0]
         ref = np.array([complex(math.cos(x), math.sin(x)) for x in theta])
         assert np.max(np.abs(c - ref)) <= 3 * 2**-52
@@ -172,7 +179,7 @@ class TestCoefficientKernel:
         ens = synthesize_ensemble(sed_drive_spectrum(0.05), n_modes, child_seeds(9, n_real))
         c = ens.coefficients(0.05)
         for r in range(n_real):
-            row = dataclasses.replace(ens, phases=ens.phases[r:r + 1], seeds=(ens.seeds[r],))
+            row = dataclasses.replace(ens, phases=ens.phases[r:r + 1])
             assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
 
     def test_memory_is_the_result_plus_one_scratch(self):
@@ -194,20 +201,21 @@ class TestCoefficientKernel:
 class TestEvaluation:
     # E = cos t and E' = -sin t for the single mode, so E + eps*E' = cos t - eps sin t;
     # evaluated on the grid of t = 0 and a quarter period
-    QUARTER = np.array([0.0, math.pi / 2.0])
+    QUARTER = (math.pi / 2.0, 2)
 
     def test_single_mode_at_zero(self):
-        assert drive(single_mode(), self.QUARTER)[0] == pytest.approx(1.0)
-        assert drive(single_mode(), self.QUARTER, 1.0)[0] == pytest.approx(1.0, abs=1e-15)
+        assert drive(single_mode(), *self.QUARTER)[0] == pytest.approx(1.0)
+        assert drive(single_mode(), *self.QUARTER, 1.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_single_mode_quarter_period(self):
-        assert drive(single_mode(), self.QUARTER)[1] == pytest.approx(0.0, abs=1e-12)
-        assert drive(single_mode(), self.QUARTER, 1.0)[1] == pytest.approx(-1.0, rel=1e-9)
+        assert drive(single_mode(), *self.QUARTER)[1] == pytest.approx(0.0, abs=1e-12)
+        assert drive(single_mode(), *self.QUARTER, 1.0)[1] == pytest.approx(-1.0, rel=1e-9)
 
     def test_derivative_is_term_by_term(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 32, [4])
-        t = np.linspace(0.0, 50.0, 500)
+        h = 50.0 / 499
+        t = h * np.arange(500)
         e = sum(a * np.cos(w * t + p)
                 for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases[0]))
         edot = sum(
@@ -215,14 +223,13 @@ class TestEvaluation:
             for a, w, p in zip(ms.amplitudes, ms.omegas, ms.phases[0])
         )
         # at eps = 1 E' carries full weight; the bound is relative to E' alone
-        got = drive(ms, t, 1.0)
+        got = drive(ms, h, 500, 1.0)
         assert np.max(np.abs(got - (e + edot))) < 1e-12 * np.max(np.abs(edot))
 
     def test_parseval_large_modeset(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 2000, [13])
-        t = np.arange(int(ms.t_rec / 1.0)) * 1.0
-        e = drive(ms, t)
+        e = drive(ms, 1.0, int(ms.t_rec / 1.0))
         assert np.var(e) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
 
@@ -235,8 +242,7 @@ def trig_double_sum(omegas, cos_coeff, sin_coeff, times):
     return total
 
 
-BAND_64 = np.linspace(0.8, 1.2, 64)
-BAND_2000 = np.linspace(0.8, 1.2, 2000)
+BAND = (0.8, 1.2)
 
 
 class TestModeSumOracle:
@@ -246,38 +252,31 @@ class TestModeSumOracle:
     which is Re sum_k c_k e^{i w_k t} with c_k = cc_k - i sc_k.
     """
 
-    @pytest.mark.parametrize("omegas, times", [
-        (BAND_64, 0.05 * np.arange(300)),
-        (BAND_64, 137.5 + 0.37 * np.arange(300)),
+    @pytest.mark.parametrize("n_modes, h, n_times", [
+        (64, 0.05, 300),
+        # to t = 248, where the phases w_k t are hundreds of radians
+        (64, 0.37, 672),
         # crosses a block boundary; not a multiple of the block length
-        (BAND_64, 3.0 + 0.11 * np.arange(zpf._BLOCK + 37)),
+        (64, 0.11, zpf._BLOCK + 37),
         # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
-        (BAND_2000, 25000.0 + 2.0 * np.arange(3000)),
+        (2000, 2.0, 15545),
     ], ids=["grid", "offset-grid", "multi-block", "2000-modes-near-t_rec"])
     @pytest.mark.parametrize("n_real", [None, 3])
-    def test_matches_double_sum(self, omegas, times, n_real):
-        shape = (len(omegas),) if n_real is None else (len(omegas), n_real)
+    def test_matches_double_sum(self, n_modes, h, n_times, n_real):
+        omegas = np.linspace(BAND[0], BAND[1], n_modes)
+        times = h * np.arange(n_times)
+        if n_modes == 2000:
+            assert 0.99 * zpf.recurrence_time(BAND, n_modes) <= times[-1]
+        shape = (n_modes,) if n_real is None else (n_modes, n_real)
         rng = np.random.default_rng(17)
         cos_coeff = rng.normal(size=shape)
         sin_coeff = rng.normal(size=shape)
         expected = trig_double_sum(omegas, cos_coeff, sin_coeff, times)
-        got = phasor_sum(omegas, np.transpose(cos_coeff - 1j * sin_coeff), times).T
+        got = phasor_sum(BAND, np.transpose(cos_coeff - 1j * sin_coeff), h, n_times).T
         assert got.shape == expected.shape
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
 
-    @pytest.mark.parametrize("omegas, times", [
-        (BAND_64, 42.25),
-        (BAND_64, np.sort(np.random.default_rng(5).uniform(0.0, 400.0, 257))),
-        # irregular modes on a uniform time grid
-        (np.sort(np.random.default_rng(6).uniform(0.8, 1.2, 40)), 0.3 * np.arange(500)),
-        (BAND_64, np.array([])),
-    ], ids=["single-time", "irregular-times", "irregular-modes", "no-times"])
-    @pytest.mark.parametrize("n_real", [None, 3])
-    def test_refuses_off_grid(self, omegas, times, n_real):
-        shape = (len(omegas),) if n_real is None else (n_real, len(omegas))
-        with pytest.raises(ValueError, match="equally spaced"):
-            phasor_sum(omegas, np.ones(shape, dtype=complex), times)
 
 
 class TestPsdEstimation:
@@ -302,8 +301,7 @@ class TestPsdEstimation:
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 512, [21])
         dt = 2.0 * math.pi / 8.0
-        t = np.arange(int(ms.t_rec / dt)) * dt
-        omega, psd = estimate_psd(drive(ms, t), dt, 4096)
+        omega, psd = estimate_psd(drive(ms, dt, int(ms.t_rec / dt)), dt, 4096)
         total = np.trapezoid(psd, omega)
         # taper leakage smears edge modes over ~2 resolution bins
         margin = 2.0 * (omega[1] - omega[0])
@@ -317,8 +315,7 @@ class TestPsdEstimation:
         acc = None
         for seed in child_seeds(314, 6):
             ms = synthesize_ensemble(spec, 2000, [seed])
-            t = np.arange(int(ms.t_rec / dt)) * dt
-            omega, psd = estimate_psd(drive(ms, t), dt, 512)
+            omega, psd = estimate_psd(drive(ms, dt, int(ms.t_rec / dt)), dt, 512)
             acc = psd if acc is None else acc + psd
         acc /= 6.0
         margin = 4.0 * (omega[1] - omega[0])
@@ -412,15 +409,16 @@ class TestUnitsConsistency:
 
 
 class TestModeSetInvariants:
-    """A mode ensemble's grid: one length for all three arrays, increasing frequencies."""
+    """A mode ensemble's grid: one length K for the amplitudes and each row of phases,
+    increasing frequencies."""
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            ModeEnsemble(np.array([1.0, 2.0]), np.array([1.0]), np.array([[0.0, 0.0]]), (0,))
+            ModeEnsemble((1.0, 2.0), np.array([1.0]), np.array([[0.0, 0.0]]))
         # one spectrum for every realization: amplitudes are (K,), not (R, K)
         with pytest.raises(ValueError, match="length"):
-            ModeEnsemble(np.array([1.0, 2.0]), np.ones((2, 2)), np.zeros((2, 2)), (0, 1))
+            ModeEnsemble((1.0, 2.0), np.ones((2, 2)), np.zeros((2, 2)))
 
     def test_nonincreasing_frequencies_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            ModeEnsemble(np.array([2.0, 1.0]), np.zeros(2), np.zeros((1, 2)), (0,))
+            ModeEnsemble((2.0, 1.0), np.zeros(2), np.zeros((1, 2)))
