@@ -12,6 +12,7 @@ Only the phases are random; they come from a deterministic seeded generator.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -22,8 +23,8 @@ import numpy.random  # noqa: F401
 
 PSD_CSV_HEADER = "omega,psd"
 
-#: rows ``_write_csv`` formats and writes at a time
-_CSV_CHUNK = 8192
+#: rows ``_write_csv`` formats at a time, in the writing process or its helper
+_CSV_CHUNK = 4096
 
 #: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
 #: in (256 KB): the tangents and the scaled 1 / (1 + t^2), half each
@@ -325,12 +326,84 @@ def psd_to_csv(omega: np.ndarray, psd: np.ndarray, path: str) -> None:
 def _write_csv(path: str, header: str, columns: Iterable) -> None:
     """Write equal-length columns as CSV rows of ``repr(float(value))``.
 
-    Rows are formatted ``_CSV_CHUNK`` at a time from Python floats and written
-    once per chunk, so at most one chunk of text is held.
+    Rows are formatted ``_CSV_CHUNK`` at a time from Python floats. When the
+    file spans more than one chunk and the system has ``os.fork`` and more
+    than one usable CPU, one forked helper formats every other chunk and
+    sends each through a pipe as its byte length and its ASCII bytes. This
+    process formats the other chunks and writes all of them in file order,
+    so each process holds at most one chunk of text. Without a helper the
+    same loop formats every chunk here. A short read from the helper, or its
+    nonzero exit status, raises ``OSError``; the helper is reaped before this
+    returns or raises.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(arrays[0]), _CSV_CHUNK):
-            rows = zip(*(map(repr, a[start:start + _CSV_CHUNK].tolist()) for a in arrays))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+    starts = range(0, len(arrays[0]), _CSV_CHUNK)
+
+    def text(start: int) -> str:
+        rows = zip(*(map(repr, a[start:start + _CSV_CHUNK].tolist()) for a in arrays))
+        return "\n".join(map(",".join, rows)) + "\n"
+
+    pid, pipe = _start_helper(text, starts[1::2]) if len(starts) > 1 else (0, None)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for i, start in enumerate(starts):
+                fh.write(_receive(pipe) if pipe is not None and i % 2 else text(start))
+    finally:
+        if pipe is not None:
+            # close first: a helper blocked in a write then fails instead of waiting
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+    if pipe is not None and status:
+        raise OSError(f"CSV helper process failed with wait status {status}")
+
+
+def _start_helper(text: Callable[[int], str], starts: range):
+    """Fork a process that sends ``text(start)`` for each of ``starts`` down a pipe.
+
+    Each chunk goes as its length in 8 little-endian bytes, then its ASCII
+    bytes. Returns the helper's pid and the pipe's read end, or ``(0, None)``
+    when there is no ``os.fork``, one usable CPU, or the fork fails. The helper
+    never returns: it leaves through ``os._exit`` whatever happens, so no
+    exception unwinds into the caller's code and no buffer is flushed twice.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return 0, None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return 0, None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                for start in starts:
+                    data = text(start).encode("ascii")
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _receive(pipe) -> str:
+    """One chunk from the helper's pipe, or ``OSError`` on a short read."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size) if len(head) == 8 else b""
+    if len(head) != 8 or len(data) != size:
+        raise OSError("short read from the CSV helper process")
+    return data.decode("ascii")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1

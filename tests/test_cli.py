@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zitter import zpf
 from zitter.cli import main
 from zitter.dynamics import DiracFreeParticle, dirac_velocity
 from zitter.scenarios import Scenario, run_scenario, validate_config
@@ -88,6 +89,18 @@ class TestScenarioRuns:
         with open(tmp_path / "trajectory.csv") as fh:
             assert fh.readline().strip() == "t,z,zdot"
 
+    def test_transient_is_the_same_bytes_without_fork(self, tmp_path, monkeypatch):
+        # trajectory.csv spans 10 chunks: a helper process formats every other one
+        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
+        assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "helper")]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "serial")]) == 0
+        names = sorted(p.name for p in (tmp_path / "helper").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        for name in names:
+            assert (tmp_path / "helper" / name).read_bytes() == (
+                tmp_path / "serial" / name).read_bytes(), name
+
     def test_dirac(self, tmp_path, dc):
         rc = main(["run", "--scenario", "dirac", "--out", str(tmp_path)])
         assert rc == 0
@@ -96,24 +109,30 @@ class TestScenarioRuns:
         assert payload["max_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
         assert payload["min_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
 
-    def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc):
-        # |v| / c of each sample as abs() of a Python complex, which is libm's hypot
-        params = {"n_samples": 3001, "energy_over_mc2": 3.7, "momentum": 1e-17,
-                  "v0_over_c": 0.3, "n_periods": 17.5}
-        sc = validate_config({"scenario": "dirac", "params": params})
-        run_scenario(sc, str(tmp_path))
-        lines = (tmp_path / "dirac.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c"
-        times = np.array([float(line.split(",")[0]) for line in lines[1:]])
-        energy = 3.7 * fc.m * fc.c**2
-        dp = DiracFreeParticle(E=energy, p=1e-17, v0=0.3 * fc.c, fc=fc)
-        rows = [(t, complex(v)) for t, v in zip(times.tolist(), dirac_velocity(dp, times))]
-        speeds = [abs(v) / fc.c for _, v in rows]
-        assert lines[1:] == [f"{t!r},{v.real!r},{v.imag!r},{u!r}"
-                             for (t, v), u in zip(rows, speeds)]
-        payload = read_json(tmp_path / "dirac.json")
-        assert (payload["max_abs_v_over_c"], payload["min_abs_v_over_c"]) == (
-            max(speeds), min(speeds))
+    def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc, monkeypatch):
+        # |v| / c of each sample as abs() of a Python complex, which is libm's hypot;
+        # at one chunk, and at four, which a helper process shares
+        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
+        for n_samples in (3001, 3 * zpf._CSV_CHUNK + 1):
+            params = {"n_samples": n_samples, "energy_over_mc2": 3.7, "momentum": 1e-17,
+                      "v0_over_c": 0.3, "n_periods": 17.5}
+            sc = validate_config({"scenario": "dirac", "params": params})
+            out = tmp_path / str(n_samples)
+            out.mkdir()
+            run_scenario(sc, str(out))
+            lines = (out / "dirac.csv").read_text(encoding="utf-8").splitlines()
+            assert lines[0] == "t_s,re_v_cm_per_s,im_v_cm_per_s,abs_v_over_c"
+            assert len(lines) == n_samples + 1
+            times = np.array([float(line.split(",")[0]) for line in lines[1:]])
+            energy = 3.7 * fc.m * fc.c**2
+            dp = DiracFreeParticle(E=energy, p=1e-17, v0=0.3 * fc.c, fc=fc)
+            rows = [(t, complex(v)) for t, v in zip(times.tolist(), dirac_velocity(dp, times))]
+            speeds = [abs(v) / fc.c for _, v in rows]
+            assert lines[1:] == [f"{t!r},{v.real!r},{v.imag!r},{u!r}"
+                                 for (t, v), u in zip(rows, speeds)]
+            payload = read_json(out / "dirac.json")
+            assert (payload["max_abs_v_over_c"], payload["min_abs_v_over_c"]) == (
+                max(speeds), min(speeds))
 
     def test_sweep_epsilon(self, tmp_path):
         rc = main(["run", "--scenario", "sweep-epsilon", "--out", str(tmp_path)])

@@ -130,7 +130,13 @@ _CHILD = ("import resource, runpy; "
           "runpy.run_module('zitter.cli', run_name='__main__')")
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+#: 30 derandomized examples, unless the ``cli-fuzz`` profile (tests/conftest.py)
+#: is loaded to set the count and draw from ``--hypothesis-seed``
+_CLI_EXAMPLES = ({} if settings.get_current_profile_name() == "cli-fuzz"
+                 else {"max_examples": 30, "derandomize": True})
+
+
+@settings(deadline=None, database=None, **_CLI_EXAMPLES)
 @given(data=st.data())
 def test_cli_exits_0_2_or_3_and_refusals_write_nothing(data, dc):
     name = data.draw(st.sampled_from(SCENARIO_NAMES), label="scenario")

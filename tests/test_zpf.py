@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -351,20 +353,124 @@ class TestPsdEstimation:
 
 
 class TestCsvWriter:
-    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop."""
+    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop.
+
+    Files of more than one chunk are formatted by this process and one forked
+    helper. Every case runs with two usable CPUs, so that a helper runs on
+    any host, and must leave no child process behind.
+    """
+
+    C = zpf._CSV_CHUNK
+
+    @pytest.fixture(autouse=True)
+    def helper_host(self, monkeypatch):
+        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
+
+        def timeout(signum, frame):
+            raise TimeoutError("the CSV writer hung")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the ``os.fork`` calls the writer makes."""
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
 
     @staticmethod
     def reference(header, a, b):
         return header + "\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(a, b))
 
-    @pytest.mark.parametrize("n_rows", [zpf._CSV_CHUNK - 1, zpf._CSV_CHUNK, zpf._CSV_CHUNK + 1])
-    def test_rows_across_a_chunk_boundary(self, tmp_path, n_rows):
+    @staticmethod
+    def columns(n_rows):
         rng = np.random.default_rng(n_rows)
         a = np.cumsum(rng.uniform(0.0, 0.1, n_rows))
         b = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        return a, b
+
+    @pytest.mark.parametrize("n_rows", [C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 3 * C + 1])
+    def test_rows_across_a_chunk_boundary(self, tmp_path, forks, n_rows):
+        a, b = self.columns(n_rows)
         path = tmp_path / "rows.csv"
         zpf._write_csv(str(path), "a,b", (a, b))
         assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
+        assert len(forks) == (n_rows > self.C)  # a helper for files of two chunks or more
+
+    @pytest.mark.parametrize("n_rows", [2 * C, 3 * C + 1])
+    def test_same_bytes_without_fork(self, tmp_path, monkeypatch, n_rows):
+        a, b = self.columns(n_rows)
+        with_helper, serial = tmp_path / "helper.csv", tmp_path / "serial.csv"
+        zpf._write_csv(str(with_helper), "a,b", (a, b))
+        monkeypatch.delattr(os, "fork")
+        zpf._write_csv(str(serial), "a,b", (a, b))
+        assert serial.read_bytes() == with_helper.read_bytes()
+        assert serial.read_text(encoding="utf-8") == self.reference("a,b", a, b)
+
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 1)
+        a, b = self.columns(2 * self.C + 1)
+        path = tmp_path / "rows.csv"
+        zpf._write_csv(str(path), "a,b", (a, b))
+        assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
+        assert not forks
+
+    def test_helper_that_exits_at_once_raises(self, tmp_path, monkeypatch):
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid == 0:
+                os._exit(1)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="short read"):
+            zpf._write_csv(str(tmp_path / "rows.csv"), "a,b", self.columns(3 * self.C + 1))
+
+    def test_helper_exit_status_is_checked(self, tmp_path, monkeypatch):
+        # the helper sends every chunk, then exits with status 3
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+        with pytest.raises(OSError, match="wait status"):
+            zpf._write_csv(str(tmp_path / "rows.csv"), "a,b", self.columns(2 * self.C + 1))
+
+    def test_failed_write_does_not_hang(self, tmp_path, monkeypatch):
+        class FailingFile:
+            """The output file; its third write (the second chunk's) fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh, self.writes = open(*args, **kwargs), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("no space left")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(zpf, "open", FailingFile, raising=False)
+        # the helper's second chunk, of ~160 KB, overfills the pipe: the helper is
+        # blocked in a write, or about to be, when the writer gives up
+        with pytest.raises(OSError, match="no space left"):
+            zpf._write_csv(str(tmp_path / "rows.csv"), "a,b", self.columns(4 * self.C))
 
     def test_extreme_values(self, tmp_path):
         a = np.array([-0.0, 5e-324, 1e-05, 0.1, 1e16])
