@@ -23,7 +23,7 @@ import numpy.random  # noqa: F401
 
 PSD_CSV_HEADER = "omega,psd"
 
-#: rows ``_write_csv`` formats at a time, in the writing process or its helper
+#: most rows in one of the chunks ``_write_csv`` formats, in the writing process or its helper
 _CSV_CHUNK = 4096
 
 #: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
@@ -326,29 +326,31 @@ def psd_to_csv(omega: np.ndarray, psd: np.ndarray, path: str) -> None:
 def _write_csv(path: str, header: str, columns: Iterable) -> None:
     """Write equal-length columns as CSV rows of ``repr(float(value))``.
 
-    Rows are formatted ``_CSV_CHUNK`` at a time from Python floats. When the
-    file spans more than one chunk and the system has ``os.fork`` and more
-    than one usable CPU, one forked helper formats every other chunk and
-    sends each through a pipe as its byte length and its ASCII bytes. This
-    process formats the other chunks and writes all of them in file order,
-    so each process holds at most one chunk of text. Without a helper the
-    same loop formats every chunk here. A short read from the helper, or its
-    nonzero exit status, raises ``OSError``; the helper is reaped before this
-    returns or raises.
+    Rows are formatted from Python floats in the fewest chunks of at most
+    ``_CSV_CHUNK`` rows, split as evenly as the rows allow. When the file
+    spans more than one chunk and the system has ``os.fork``, one forked
+    helper formats every other chunk and sends each through a pipe as its
+    byte length and its ASCII bytes. This process formats the other chunks
+    and writes all of them in file order, so each process holds at most one
+    chunk of text. Without a helper the same loop formats every chunk here.
+    A short read from the helper, or its nonzero exit status, raises
+    ``OSError``; the helper is reaped before this returns or raises.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
-    starts = range(0, len(arrays[0]), _CSV_CHUNK)
+    n_rows = len(arrays[0])
+    chunks = range(-(-n_rows // _CSV_CHUNK))
 
-    def text(start: int) -> str:
-        rows = zip(*(map(repr, a[start:start + _CSV_CHUNK].tolist()) for a in arrays))
+    def text(i: int) -> str:
+        lo, hi = i * n_rows // len(chunks), (i + 1) * n_rows // len(chunks)
+        rows = zip(*(map(repr, a[lo:hi].tolist()) for a in arrays))
         return "\n".join(map(",".join, rows)) + "\n"
 
-    pid, pipe = _start_helper(text, starts[1::2]) if len(starts) > 1 else (0, None)
+    pid, pipe = _start_helper(text, chunks[1::2]) if len(chunks) > 1 else (0, None)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for i, start in enumerate(starts):
-                fh.write(_receive(pipe) if pipe is not None and i % 2 else text(start))
+            for i in chunks:
+                fh.write(_receive(pipe) if pipe is not None and i % 2 else text(i))
     finally:
         if pipe is not None:
             # close first: a helper blocked in a write then fails instead of waiting
@@ -358,16 +360,16 @@ def _write_csv(path: str, header: str, columns: Iterable) -> None:
         raise OSError(f"CSV helper process failed with wait status {status}")
 
 
-def _start_helper(text: Callable[[int], str], starts: range):
-    """Fork a process that sends ``text(start)`` for each of ``starts`` down a pipe.
+def _start_helper(text: Callable[[int], str], chunks: range):
+    """Fork a process that sends ``text(i)`` for each ``i`` in ``chunks`` down a pipe.
 
     Each chunk goes as its length in 8 little-endian bytes, then its ASCII
     bytes. Returns the helper's pid and the pipe's read end, or ``(0, None)``
-    when there is no ``os.fork``, one usable CPU, or the fork fails. The helper
-    never returns: it leaves through ``os._exit`` whatever happens, so no
-    exception unwinds into the caller's code and no buffer is flushed twice.
+    when there is no ``os.fork`` or the fork fails. The helper never returns:
+    it leaves through ``os._exit`` whatever happens, so no exception unwinds
+    into the caller's code and no buffer is flushed twice.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    if not hasattr(os, "fork"):
         return 0, None
     read_fd, write_fd = os.pipe()
     try:
@@ -381,8 +383,8 @@ def _start_helper(text: Callable[[int], str], starts: range):
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                for start in starts:
-                    data = text(start).encode("ascii")
+                for i in chunks:
+                    data = text(i).encode("ascii")
                     pipe.write(len(data).to_bytes(8, "little"))
                     pipe.write(data)
             code = 0
@@ -401,9 +403,3 @@ def _receive(pipe) -> str:
         raise OSError("short read from the CSV helper process")
     return data.decode("ascii")
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1

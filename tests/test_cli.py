@@ -91,7 +91,6 @@ class TestScenarioRuns:
 
     def test_transient_is_the_same_bytes_without_fork(self, tmp_path, monkeypatch):
         # trajectory.csv spans 10 chunks: a helper process formats every other one
-        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
         assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "helper")]) == 0
         monkeypatch.delattr(os, "fork")
         assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "serial")]) == 0
@@ -109,10 +108,9 @@ class TestScenarioRuns:
         assert payload["max_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
         assert payload["min_abs_v_over_c"] == pytest.approx(1.0, rel=1e-12)
 
-    def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc, monkeypatch):
+    def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc):
         # |v| / c of each sample as abs() of a Python complex, which is libm's hypot;
         # at one chunk, and at four, which a helper process shares
-        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
         for n_samples in (3001, 3 * zpf._CSV_CHUNK + 1):
             params = {"n_samples": n_samples, "energy_over_mc2": 3.7, "momentum": 1e-17,
                       "v0_over_c": 0.3, "n_periods": 17.5}

@@ -356,16 +356,13 @@ class TestCsvWriter:
     """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop.
 
     Files of more than one chunk are formatted by this process and one forked
-    helper. Every case runs with two usable CPUs, so that a helper runs on
-    any host, and must leave no child process behind.
+    helper. Every case must leave no child process behind.
     """
 
     C = zpf._CSV_CHUNK
 
     @pytest.fixture(autouse=True)
-    def helper_host(self, monkeypatch):
-        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 2)
-
+    def no_child_left(self):
         def timeout(signum, frame):
             raise TimeoutError("the CSV writer hung")
 
@@ -411,21 +408,11 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("n_rows", [2 * C, 3 * C + 1])
     def test_same_bytes_without_fork(self, tmp_path, monkeypatch, n_rows):
-        a, b = self.columns(n_rows)
-        with_helper, serial = tmp_path / "helper.csv", tmp_path / "serial.csv"
-        zpf._write_csv(str(with_helper), "a,b", (a, b))
         monkeypatch.delattr(os, "fork")
-        zpf._write_csv(str(serial), "a,b", (a, b))
-        assert serial.read_bytes() == with_helper.read_bytes()
-        assert serial.read_text(encoding="utf-8") == self.reference("a,b", a, b)
-
-    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(zpf, "_usable_cpus", lambda: 1)
-        a, b = self.columns(2 * self.C + 1)
+        a, b = self.columns(n_rows)
         path = tmp_path / "rows.csv"
         zpf._write_csv(str(path), "a,b", (a, b))
         assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
-        assert not forks
 
     def test_helper_that_exits_at_once_raises(self, tmp_path, monkeypatch):
         real_fork = os.fork
