@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -329,77 +331,49 @@ def _write_csv(path: str, header: str, columns: Iterable) -> None:
     Rows are formatted from Python floats in the fewest chunks of at most
     ``_CSV_CHUNK`` rows, split as evenly as the rows allow. When the file
     spans more than one chunk and the system has ``os.fork``, one forked
-    helper formats every other chunk and sends each through a pipe as its
-    byte length and its ASCII bytes. This process formats the other chunks
-    and writes all of them in file order, so each process holds at most one
-    chunk of text. Without a helper the same loop formats every chunk here.
-    A short read from the helper, or its nonzero exit status, raises
+    helper formats the second half of the chunks into an unnamed temporary
+    file beside ``path`` while this process writes the header and the first
+    half; this process then reaps the helper and appends its file. Each
+    process holds at most one chunk of text. Without a helper this process
+    formats every chunk. A nonzero exit status of the helper raises
     ``OSError``; the helper is reaped before this returns or raises.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
     n_rows = len(arrays[0])
-    chunks = range(-(-n_rows // _CSV_CHUNK))
+    n_chunks = -(-n_rows // _CSV_CHUNK)
 
-    def text(i: int) -> str:
-        lo, hi = i * n_rows // len(chunks), (i + 1) * n_rows // len(chunks)
-        rows = zip(*(map(repr, a[lo:hi].tolist()) for a in arrays))
-        return "\n".join(map(",".join, rows)) + "\n"
+    def write(fh, chunks: range) -> None:
+        for i in chunks:
+            lo, hi = i * n_rows // n_chunks, (i + 1) * n_rows // n_chunks
+            rows = zip(*(map(repr, a[lo:hi].tolist()) for a in arrays))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
-    pid, pipe = _start_helper(text, chunks[1::2]) if len(chunks) > 1 else (0, None)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for i in chunks:
-                fh.write(_receive(pipe) if pipe is not None and i % 2 else text(i))
-    finally:
-        if pipe is not None:
-            # close first: a helper blocked in a write then fails instead of waiting
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-    if pipe is not None and status:
-        raise OSError(f"CSV helper process failed with wait status {status}")
-
-
-def _start_helper(text: Callable[[int], str], chunks: range):
-    """Fork a process that sends ``text(i)`` for each ``i`` in ``chunks`` down a pipe.
-
-    Each chunk goes as its length in 8 little-endian bytes, then its ASCII
-    bytes. Returns the helper's pid and the pipe's read end, or ``(0, None)``
-    when there is no ``os.fork`` or the fork fails. The helper never returns:
-    it leaves through ``os._exit`` whatever happens, so no exception unwinds
-    into the caller's code and no buffer is flushed twice.
-    """
-    if not hasattr(os, "fork"):
-        return 0, None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return 0, None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                for i in chunks:
-                    data = text(i).encode("ascii")
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _receive(pipe) -> str:
-    """One chunk from the helper's pipe, or ``OSError`` on a short read."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size) if len(head) == 8 else b""
-    if len(head) != 8 or len(data) != size:
-        raise OSError("short read from the CSV helper process")
-    return data.decode("ascii")
-
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        if n_chunks < 2 or not hasattr(os, "fork"):
+            return write(fh, range(n_chunks))
+        with tempfile.TemporaryFile("w+", encoding="utf-8",
+                                    dir=os.path.dirname(path) or ".") as rest:
+            try:
+                pid = os.fork()
+            except OSError:
+                return write(fh, range(n_chunks))
+            half = (n_chunks + 1) // 2
+            if pid == 0:
+                # leave through os._exit whatever happens: no exception unwinds
+                # into the caller's code and no buffer is flushed twice
+                code = 1
+                try:
+                    write(rest, range(half, n_chunks))
+                    rest.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                write(fh, range(half))
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status:
+                raise OSError(f"CSV helper process failed with wait status {status}")
+            rest.seek(0)
+            shutil.copyfileobj(rest, fh)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -16,3 +18,11 @@ def fc():
 @pytest.fixture(scope="session")
 def dc(fc):
     return derive_constants(fc)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps the processes it starts, such as the CSV writer's helper."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -90,7 +90,7 @@ class TestScenarioRuns:
             assert fh.readline().strip() == "t,z,zdot"
 
     def test_transient_is_the_same_bytes_without_fork(self, tmp_path, monkeypatch):
-        # trajectory.csv spans 10 chunks: a helper process formats every other one
+        # trajectory.csv spans 10 chunks: a helper process formats the last five
         assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "helper")]) == 0
         monkeypatch.delattr(os, "fork")
         assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "serial")]) == 0
