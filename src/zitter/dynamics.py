@@ -448,5 +448,15 @@ def dirac_position_amplitude(dp: DiracFreeParticle) -> float:
 # ---------------------------------------------------------------------------
 # trajectory I/O
 
+def csv_stride(dt: float) -> int:
+    """Steps between the rows of a trajectory CSV: the most that span at most MAX_DT."""
+    return max(1, int(MAX_DT / dt))
+
+
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    _write_csv(path, TRAJECTORY_CSV_HEADER, (traj.times, traj.z, traj.zdot))
+    """Write every ``csv_stride(traj.dt)``-th step of ``traj``, and its last step, as CSV rows."""
+    n = len(traj.z)
+    keep = np.arange(0, n, csv_stride(traj.dt))
+    if n and keep[-1] != n - 1:
+        keep = np.append(keep, n - 1)
+    _write_csv(path, TRAJECTORY_CSV_HEADER, (traj.times[keep], traj.z[keep], traj.zdot[keep]))

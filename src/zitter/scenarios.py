@@ -443,7 +443,8 @@ def _run_transient(sc, out, fc, dc, params):
     dynamics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     _write_json(os.path.join(out, "trajectory_meta.json"), {
         "time_unit_s": 1.0 / dc.omega_C, "length_unit_cm": dc.lambda_C_bar,
-        "dt": params["dt"], "epsilon": eps, "integrator": "rk4", "seed": None})
+        "dt": params["dt"], "csv_stride": dynamics.csv_stride(params["dt"]),
+        "epsilon": eps, "integrator": "rk4", "seed": None})
     t_est = analysis.transition_time_from_fit(fit, dc)
     payload = {
         "decay_rate": fit.decay_rate,

@@ -12,9 +12,6 @@ Only the phases are random; they come from a deterministic seeded generator.
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -25,7 +22,7 @@ import numpy.random  # noqa: F401
 
 PSD_CSV_HEADER = "omega,psd"
 
-#: most rows in one of the chunks ``_write_csv`` formats, in the writing process or its helper
+#: most rows in one of the chunks ``_write_csv`` formats
 _CSV_CHUNK = 4096
 
 #: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
@@ -329,51 +326,15 @@ def _write_csv(path: str, header: str, columns: Iterable) -> None:
     """Write equal-length columns as CSV rows of ``repr(float(value))``.
 
     Rows are formatted from Python floats in the fewest chunks of at most
-    ``_CSV_CHUNK`` rows, split as evenly as the rows allow. When the file
-    spans more than one chunk and the system has ``os.fork``, one forked
-    helper formats the second half of the chunks into an unnamed temporary
-    file beside ``path`` while this process writes the header and the first
-    half; this process then reaps the helper and appends its file. Each
-    process holds at most one chunk of text. Without a helper this process
-    formats every chunk. A nonzero exit status of the helper raises
-    ``OSError``; the helper is reaped before this returns or raises.
+    ``_CSV_CHUNK`` rows, split as evenly as the rows allow, so at most one
+    chunk of text is held at once.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
     n_rows = len(arrays[0])
     n_chunks = -(-n_rows // _CSV_CHUNK)
-
-    def write(fh, chunks: range) -> None:
-        for i in chunks:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(n_chunks):
             lo, hi = i * n_rows // n_chunks, (i + 1) * n_rows // n_chunks
             rows = zip(*(map(repr, a[lo:hi].tolist()) for a in arrays))
             fh.write("\n".join(map(",".join, rows)) + "\n")
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        if n_chunks < 2 or not hasattr(os, "fork"):
-            return write(fh, range(n_chunks))
-        with tempfile.TemporaryFile("w+", encoding="utf-8",
-                                    dir=os.path.dirname(path) or ".") as rest:
-            try:
-                pid = os.fork()
-            except OSError:
-                return write(fh, range(n_chunks))
-            half = (n_chunks + 1) // 2
-            if pid == 0:
-                # leave through os._exit whatever happens: no exception unwinds
-                # into the caller's code and no buffer is flushed twice
-                code = 1
-                try:
-                    write(rest, range(half, n_chunks))
-                    rest.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            try:
-                write(fh, range(half))
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status:
-                raise OSError(f"CSV helper process failed with wait status {status}")
-            rest.seek(0)
-            shutil.copyfileobj(rest, fh)

@@ -22,7 +22,7 @@ def dc(fc):
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every test reaps the processes it starts, such as the CSV writer's helper."""
+    """Every test reaps the processes it starts."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -86,19 +86,11 @@ class TestScenarioRuns:
         assert not fit["low_confidence"]
         meta = read_json(tmp_path / "trajectory_meta.json")
         assert meta["epsilon"] == pytest.approx(dc.epsilon)
-        with open(tmp_path / "trajectory.csv") as fh:
-            assert fh.readline().strip() == "t,z,zdot"
-
-    def test_transient_is_the_same_bytes_without_fork(self, tmp_path, monkeypatch):
-        # trajectory.csv spans 10 chunks: a helper process formats the last five
-        assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "helper")]) == 0
-        monkeypatch.delattr(os, "fork")
-        assert main(["run", "--scenario", "transient", "--out", str(tmp_path / "serial")]) == 0
-        names = sorted(p.name for p in (tmp_path / "helper").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "serial").iterdir())
-        for name in names:
-            assert (tmp_path / "helper" / name).read_bytes() == (
-                tmp_path / "serial" / name).read_bytes(), name
+        assert meta["csv_stride"] == 5
+        lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+        # every 5th of the 39,259 samples to t_max, the last among them
+        assert lines[0] == "t,z,zdot" and len(lines) == 7853 + 1
+        assert float(lines[-1].split(",")[0]) == meta["dt"] * 39258
 
     def test_dirac(self, tmp_path, dc):
         rc = main(["run", "--scenario", "dirac", "--out", str(tmp_path)])
@@ -110,7 +102,7 @@ class TestScenarioRuns:
 
     def test_dirac_csv_is_the_per_sample_formula(self, tmp_path, fc):
         # |v| / c of each sample as abs() of a Python complex, which is libm's hypot;
-        # at one chunk, and at four, which a helper process shares
+        # at one chunk of the CSV writer, and at four
         for n_samples in (3001, 3 * zpf._CSV_CHUNK + 1):
             params = {"n_samples": n_samples, "energy_over_mc2": 3.7, "momentum": 1e-17,
                       "v0_over_c": 0.3, "n_periods": 17.5}

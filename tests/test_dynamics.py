@@ -9,6 +9,7 @@ from zitter.dynamics import (
     FastMotionParams,
     NumericalInstabilityError,
     Trajectory,
+    csv_stride,
     integrate_transient,
     trajectory_to_csv,
 )
@@ -338,12 +339,38 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="length"):
             Trajectory(dt=0.1, z=np.zeros(3), zdot=np.zeros(2))
 
-    def test_csv_round_trip(self, tmp_path):
-        traj = integrate_transient(FastMotionParams(epsilon=0.01), DT, 5.0)
+    @staticmethod
+    def written(traj, tmp_path):
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, str(path))
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert path.read_text().splitlines()[0] == "t,z,zdot"
-        assert np.array_equal(data[:, 0], traj.times)
-        assert np.array_equal(data[:, 1], traj.z)
-        assert np.array_equal(data[:, 2], traj.zdot)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+    def assert_rows(self, traj, stride, tmp_path):
+        """The file holds, bit for bit, every ``stride``-th step and the last one, once."""
+        assert csv_stride(traj.dt) == stride
+        keep = sorted({*range(0, len(traj.z), stride), len(traj.z) - 1})
+        data = self.written(traj, tmp_path)
+        assert np.array_equal(data[:, 0], traj.times[keep])
+        assert np.array_equal(data[:, 1], traj.z[keep])
+        assert np.array_equal(data[:, 2], traj.zdot[keep])
+
+    def test_csv_round_trip(self, tmp_path):
+        self.assert_rows(integrate_transient(FastMotionParams(epsilon=0.01), DT, 5.0), 5,
+                         tmp_path)
+
+    # dt = MAX_DT writes every step; at dt 0.06 (MAX_DT / dt = 2.6) the stride
+    # misses the last of 8 samples: rows 0, 2, 4, 6 and 7
+    @pytest.mark.parametrize("dt, t_max, stride", [(MAX_DT, 5.0, 1), (0.06, 7 * 0.06, 2)])
+    def test_csv_stride(self, tmp_path, dt, t_max, stride):
+        self.assert_rows(integrate_transient(FastMotionParams(epsilon=0.01), dt, t_max),
+                         stride, tmp_path)
+
+    @pytest.mark.parametrize("dt", [DT, 0.06, MAX_DT / 3, MAX_DT * 0.999, 0.001])
+    def test_csv_rows_are_at_most_max_dt_apart(self, tmp_path, dt):
+        traj = integrate_transient(FastMotionParams(epsilon=0.01), dt, 50.0)
+        t = self.written(traj, tmp_path)[:, 0]
+        assert t[0] == 0.0 and t[-1] == traj.times[-1]
+        # each t is dt n rounded once, so a difference may be off by an ulp of t
+        assert np.all(np.diff(t) <= MAX_DT + np.spacing(t[-1]))
+        assert csv_stride(dt) * dt <= MAX_DT * (1.0 + 1e-15)

@@ -1,8 +1,5 @@
 import dataclasses
-import errno
 import math
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -354,39 +351,9 @@ class TestPsdEstimation:
 
 
 class TestCsvWriter:
-    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop.
-
-    Files of more than one chunk are formatted by this process and one forked
-    helper, which writes its half to a temporary file. Every case must end
-    without hanging and leave nothing in its directory but the CSV.
-    """
+    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop, in even chunks."""
 
     C = zpf._CSV_CHUNK
-
-    @pytest.fixture(autouse=True)
-    def only_the_csv_left(self, tmp_path):
-        def timeout(signum, frame):
-            raise TimeoutError("the CSV writer hung")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        assert [p.suffix for p in tmp_path.iterdir()] == [".csv"]
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Count the ``os.fork`` calls the writer makes."""
-        calls = []
-        real_fork = os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
 
     @staticmethod
     def reference(header, a, b):
@@ -400,45 +367,13 @@ class TestCsvWriter:
         return a, b
 
     @pytest.mark.parametrize("n_rows", [C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 1, 3 * C + 1])
-    def test_rows_across_a_chunk_boundary(self, tmp_path, forks, n_rows):
-        a, b = self.columns(n_rows)
-        path = tmp_path / "rows.csv"
-        zpf._write_csv(str(path), "a,b", (a, b))
-        assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
-        assert len(forks) == (n_rows > self.C)  # a helper for files of two chunks or more
-
-    @pytest.mark.parametrize("fork", ["deleted", "EAGAIN"])
-    @pytest.mark.parametrize("n_rows", [2 * C, 3 * C + 1])
-    def test_same_bytes_without_fork(self, tmp_path, monkeypatch, n_rows, fork):
-        def fork_fails():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        if fork == "deleted":
-            monkeypatch.delattr(os, "fork")
-        else:
-            monkeypatch.setattr(os, "fork", fork_fails)
+    def test_rows_across_a_chunk_boundary(self, tmp_path, n_rows):
         a, b = self.columns(n_rows)
         path = tmp_path / "rows.csv"
         zpf._write_csv(str(path), "a,b", (a, b))
         assert path.read_text(encoding="utf-8") == self.reference("a,b", a, b)
 
-    @pytest.mark.parametrize("exit_code, at_once", [(1, True), (3, False)],
-                             ids=["1-before-writing", "3-after-writing"])
-    def test_helper_exit_status_is_checked(self, tmp_path, monkeypatch, exit_code, at_once):
-        real_fork, real_exit = os.fork, os._exit
-
-        def fork():
-            pid = real_fork()
-            if pid == 0 and at_once:
-                real_exit(exit_code)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "_exit", lambda code: real_exit(exit_code))
-        with pytest.raises(OSError, match="wait status"):
-            zpf._write_csv(str(tmp_path / "rows.csv"), "a,b", self.columns(3 * self.C + 1))
-
-    def test_failed_write_does_not_hang(self, tmp_path, monkeypatch):
+    def test_failed_write_raises_oserror(self, tmp_path, monkeypatch):
         class FailingFile:
             """The output file; its third write (the second chunk's) fails."""
 
@@ -458,8 +393,6 @@ class TestCsvWriter:
                 return self.fh.write(text)
 
         monkeypatch.setattr(zpf, "open", FailingFile, raising=False)
-        # the writer's own second chunk fails while the helper formats its half:
-        # the helper is still reaped
         with pytest.raises(OSError, match="no space left"):
             zpf._write_csv(str(tmp_path / "rows.csv"), "a,b", self.columns(4 * self.C))
 
