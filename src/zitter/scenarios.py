@@ -275,21 +275,6 @@ def _load_chain(params):
         raise ConfigError(f"constants_file {path!r} is unusable: {exc}") from exc
 
 
-def _recurrence_time(params) -> float:
-    """t_rec of the n_modes frequencies that synthesis will put across the band.
-
-    Computed before anything is synthesized, as ``zpf.ModeEnsemble.t_rec``
-    computes it. A mode spacing of more than 2 ulp(hi) keeps every frequency
-    of the grid distinct.
-    """
-    lo, hi = params["band"]
-    n_modes = params["n_modes"]
-    if not (hi - lo) / (n_modes - 1) > 2.0 * math.ulp(hi):
-        raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
-                          "distinct equally spaced frequencies")
-    return zpf.recurrence_time((lo, hi), n_modes)
-
-
 def _resolve(name: str, params: dict, dc) -> dict:
     """The params with the run-time defaults filled in, as the manifest records them.
 
@@ -346,12 +331,12 @@ def _cost(name: str, p: dict) -> tuple[float, float, float]:
     elif name == "psd-check":
         keys = "n_modes, n_realizations, band, sample_dt, segment_len and overlap"
         r, k, seg = p["n_realizations"], p["n_modes"], p["segment_len"]
-        samples = 2.0 * math.pi * (k - 1) / (p["band"][1] - p["band"][0]) / p["sample_dt"]
-        block = min(samples, 8192)  # samples per time block of the mode sum
+        # the samples of one period, n = _fft_len(ceil(N)) <= 1.25 (N + 1)
+        samples = 1.25 * (_period_samples(p) + 1.0)
         welch = (max(samples - seg, 0.0) / (seg - int(p["overlap"] * seg)) + 1) * seg
-        held += r * (420 + 24 * k + 8 * samples + 20 * (k + block)) + 16 * welch
+        held += r * (420 + 24 * k + 8 * samples) + 32 * samples + 16 * welch
         written += 50 * (seg // 2 + 1)
-        work += r * (28.0 + 0.11 * k + 0.06 * (samples / 8192 + 1) * (k + block) + 0.014 * welch)
+        work += r * (28.0 + 0.11 * k + 0.06 * samples + 0.014 * welch) + 0.06 * samples
     if not (held <= _BUDGET[0] and written <= _BUDGET[1] and work <= _BUDGET[2]):
         raise ConfigError(
             f"{name} would hold {held / 1e6:.4g} MB, write {written / 1e6:.4g} MB and "
@@ -465,8 +450,14 @@ def _run_stationary(sc, out, fc, dc, params):
     eps, t_max, discard_time = params["epsilon"], params["t_max"], params["discard_time"]
     if discard_time >= t_max:
         raise ConfigError(f"discard_time {discard_time} must be below t_max {t_max}")
-    # the drive horizon check of dynamics.stationary_mean_z2, made before synthesis
-    t_rec = _recurrence_time(params)
+    # the drive horizon check of dynamics.stationary_mean_z2, made before
+    # synthesis on the grid synthesis will build. A mode spacing of more than
+    # 2 ulp(hi) keeps every frequency of that grid distinct
+    (lo, hi), n_modes = params["band"], params["n_modes"]
+    if not (hi - lo) / (n_modes - 1) > 2.0 * math.ulp(hi):
+        raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
+                          "distinct equally spaced frequencies")
+    t_rec = zpf.recurrence_time((lo, hi), n_modes)
     t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)
     if t_end >= t_rec:
         raise ConfigError(
@@ -551,6 +542,12 @@ def _run_sweep(sc, out, fc, dc, params):
     return payload
 
 
+def _period_samples(p) -> float:
+    """2 pi / (d_omega sample_dt): psd-check's samples of one period at the step sample_dt."""
+    lo, hi = p["band"]
+    return 2.0 * math.pi * (p["n_modes"] - 1) / (hi - lo) / p["sample_dt"]
+
+
 def _run_psd_check(sc, out, fc, dc, params):
     eps = params["epsilon"]
     band = (params["band"][0], params["band"][1])
@@ -558,29 +555,31 @@ def _run_psd_check(sc, out, fc, dc, params):
     if sample_dt > math.pi / band[1]:
         raise ConfigError(f"sample_dt {sample_dt!r} puts the Nyquist frequency pi / sample_dt "
                           f"under the band's upper edge {band[1]!r}; the PSD would alias")
+    # one period in n samples at a step h <= sample_dt. The Nyquist refusal
+    # gives n >= 2 hi / d_omega > 2 (n_modes - 1), so n >= n_modes, as
+    # zpf.period_sum requires
+    n = zpf._fft_len(math.ceil(_period_samples(params)))
+    d_omega = (band[1] - band[0]) / (params["n_modes"] - 1)
     # the deviation is measured on the Welch bins k d_omega margin_bins or more inside the band
     margin_bins = 4
-    bin_width = 2.0 * math.pi / (params["segment_len"] * sample_dt)
+    bin_width = d_omega * n / params["segment_len"]
     if math.floor(band[1] / bin_width) - math.ceil(band[0] / bin_width) < 2 * margin_bins:
-        raise ConfigError(f"no Welch bin of width 2 pi / (segment_len sample_dt) = "
+        raise ConfigError(f"no Welch bin of width 2 pi / (segment_len h) = "
                           f"{bin_width:.6g} lies {margin_bins} bins inside the band {list(band)}; "
                           "raise segment_len")
-    n_samples = int(_recurrence_time(params) / sample_dt)
-    if params["segment_len"] > n_samples:
-        raise ConfigError(
-            f"segment_len {params['segment_len']} exceeds the {n_samples} samples per "
-            f"realization (t_rec / sample_dt)"
-        )
+    if params["segment_len"] > n:
+        raise ConfigError(f"segment_len {params['segment_len']} exceeds the {n} samples per "
+                          "realization (one period at a step of at most sample_dt)")
     spectrum = zpf.sed_drive_spectrum(eps, band)
     fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
-    series = zpf.phasor_sum(band, fields.coefficients(), sample_dt, n_samples)
+    h, series = zpf.period_sum(band, fields.coefficients(), n)
 
     psd_sum = None
     parseval_errs = []
     target_var = float(np.sum(fields.amplitudes**2) / 2.0)
     for x in series:
-        omega, psd = zpf.estimate_psd(x, sample_dt, params["segment_len"], params["overlap"])
+        omega, psd = zpf.estimate_psd(x, h, params["segment_len"], params["overlap"])
         psd_sum = psd if psd_sum is None else psd_sum + psd
         parseval_errs.append(abs(float(np.var(x)) / target_var - 1.0))
     psd_mean = psd_sum / len(series)
@@ -596,7 +595,8 @@ def _run_psd_check(sc, out, fc, dc, params):
         "n_bins_in_band": int(np.sum(in_band)),
         "band": [band[0], band[1]],
         "n_realizations": params["n_realizations"],
-        "n_samples_per_realization": n_samples,
+        "n_samples_per_realization": n,
+        "sample_step": h,
     }
     _write_json(os.path.join(out, "psd_check.json"), payload)
     return payload

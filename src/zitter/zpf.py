@@ -197,10 +197,6 @@ def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
     return ModeEnsemble(band=band, amplitudes=amplitudes, phases=phases)
 
 
-#: time samples per block of a mode sum; bounds its working memory
-_BLOCK = 8192
-
-
 def _fft_len(n: int) -> int:
     """Smallest 5-smooth integer >= n; FFTs of such lengths are fastest."""
     while True:
@@ -213,80 +209,44 @@ def _fft_len(n: int) -> int:
         n += 1
 
 
-class _ChirpZ:
-    """Bluestein's chirp-z plan for sum_k c_k e^{i w_k t}, w_k = w_0 + k dw.
+def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """Re sum_k c_k e^{i w_k h j} at the n times h j, j < n, of one period 2 pi / d_omega.
 
-    On a block of at most m times t_b + n h,
+    The w_k = w_0 + k d_omega are the K >= 2 modes of ``band``, d_omega =
+    (hi - lo) / (K - 1), and K is the length of a row of the complex
+    ``coeff``: (K,) for one realization or realization-major (R, K). Returns
+    the step h = 2 pi / (d_omega n) and the sums, shape (n,) or (R, n).
 
-        sum_k c_k e^{i w_k t} = e^{i w_0 t} sum_k [c_k e^{i k dw t_b}] W^{kn},
-        W = e^{+i dw h},
-
-    and Bluestein's (1970) identity kn = (k^2 + n^2 - (n - k)^2) / 2 turns the
-    inner sum into a convolution with the chirp W^{-j^2/2}, evaluated with
-    ``numpy.fft`` at a 5-smooth length >= K + m - 1. The plan holds what
-    depends only on the modes and the step: the chirp, the kernel's FFT and
-    the FFT length, and a reused buffer for R coefficient rows. A call adds
-    what depends on a block's times, and serves every row on that block.
-    The chirp is built from exact phases pi scale j^2 / m with integer j^2,
-    as in ``scipy.signal.ZoomFFT``; raising a rounded W to powers up to
-    (m + K)^2 / 2 instead drifts by ~1e-9 relative.
-    """
-
-    def __init__(self, w0: float, d_omega: float, n_modes: int, h: float, m: int,
-                 n_rows: int):
-        self.n_fft = _fft_len(n_modes + m - 1)
-        # W^{j^2/2} = e^{-i pi scale j^2 / m} with scale = -m dw h / (2 pi)
-        scale = -m * d_omega * h / (2.0 * math.pi)
-        self.chirp = np.exp(-1j * (math.pi * scale * np.arange(max(m, n_modes)) ** 2 / m))
-        self.kernel = np.fft.fft(
-            1.0 / np.concatenate((self.chirp[n_modes - 1:0:-1], self.chirp[:m])), self.n_fft)
-        self.k_dw = d_omega * np.arange(n_modes)
-        self.w0 = w0
-        self.buf = np.empty((n_rows, self.n_fft), dtype=complex)
-
-    def __call__(self, coeff: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """The sums of every row of ``coeff`` at the block of times ``block``.
-
-        The result is a view of the plan's buffer, valid until the next call.
-        """
-        n_modes = len(self.k_dw)
-        pre = np.exp(1j * self.k_dw * block[0]) * self.chirp[:n_modes]
-        post = self.chirp[:len(block)] * np.exp(1j * self.w0 * block)
-        buf = self.buf
-        buf[:, n_modes:] = 0.0
-        np.multiply(coeff, pre, out=buf[:, :n_modes])
-        np.fft.fft(buf, axis=-1, out=buf)
-        buf *= self.kernel
-        np.fft.ifft(buf, axis=-1, out=buf)
-        values = buf[:, n_modes - 1:n_modes - 1 + len(post)]
-        values *= post
-        return values
-
-
-def phasor_sum(band, coeff: np.ndarray, h: float, n_times: int) -> np.ndarray:
-    """Evaluate Re sum_k c_k e^{i w_k t} at the n_times >= 1 times h n, n = 0, 1, ...
-
-    The w_k are ``mode_frequencies(band, K)``, K >= 2 the length of a row of
-    the complex ``coeff``: (K,) for one realization or realization-major
-    (R, K) for R realizations sharing the frequencies. The result has shape
-    (N,) or (R, N).
-
-    The times are taken in blocks of at most ``_BLOCK``, each a chirp-z
-    transform (Rabiner, Schafer & Rader 1969), O((m + K) log(m + K)) per row
-    instead of O(m K). One plan serves every block, and the working memory
-    is O((m + K) R).
+    On that grid w_k h j = w_0 h j + 2 pi k j / n, so a row's sums are
+    Re e^{i w_0 h j} (n ifft(c, n))_j (Cooley & Tukey 1965): one inverse FFT
+    of length n >= K per row into a reused buffer, times a ramp built once as
+    the s x s products of its values at j = a s and at j = b, s^2 >= n. Each
+    phase w_0 h j is reduced modulo 2 pi before it is rounded: w_0 =
+    (m + f) d_omega with integer m and fmod's exact remainder f d_omega.
     """
     lo, hi = band
     rows = np.atleast_2d(coeff)
     n_modes = rows.shape[1]
-    n_blocks = -(-n_times // _BLOCK)
-    m = -(-n_times // n_blocks)
-    plan = _ChirpZ(lo, (hi - lo) / (n_modes - 1), n_modes, h, m, len(rows))
-    out = np.empty((len(rows), n_times))
-    for start in range(0, n_times, m):
-        block = h * np.arange(start, min(start + m, n_times))
-        out[:, start:start + len(block)] = plan(rows, block).real
-    return out if np.ndim(coeff) == 2 else out[0]
+    if n < n_modes:
+        # ifft(c, n) would drop the modes past the n-th
+        raise ValueError(f"a period of n = {n} samples cannot hold {n_modes} modes")
+    d_omega = (hi - lo) / (n_modes - 1)
+    rest = math.fmod(lo, d_omega)
+    whole, frac = round((lo - rest) / d_omega) % n, rest / d_omega
+    s = math.isqrt(n - 1) + 1
+    ramp, buf = np.empty((2, s, s), dtype=complex)
+    by_a, by_b = (np.exp(2j * math.pi / n * (j * whole % n + j * frac))
+                  for j in (s * np.arange(s)[:, None], np.arange(s)))
+    np.multiply(by_a, by_b, out=ramp)
+    ramp, buf = ramp.reshape(-1)[:n], buf.reshape(-1)[:n]
+    out = np.empty((len(rows), n))
+    for row, c in zip(out, rows):
+        buf[:n_modes] = c
+        buf[n_modes:] = 0.0
+        np.fft.ifft(buf, norm="forward", out=buf)
+        buf *= ramp
+        row[:] = buf.real
+    return 2.0 * math.pi / (d_omega * n), out if np.ndim(coeff) == 2 else out[0]
 
 
 def estimate_psd(values: Sequence[float], dt: float, segment_len: int,

@@ -138,6 +138,21 @@ class TestScenarioRuns:
         payload = read_json(tmp_path / "psd_check.json")
         assert payload["in_band_rms_rel_dev"] < 0.05
         assert payload["parseval_max_rel_err"] < 0.01
+        # one period 2 pi / d_omega in n samples at a step h <= sample_dt,
+        # n 5-smooth and at least t_rec / sample_dt
+        sample_dt, n_modes, (lo, hi) = 2.0 * math.pi / 6.0, 2000, (0.8, 1.2)
+        h, n = payload["sample_step"], payload["n_samples_per_realization"]
+        assert h <= sample_dt
+        assert h * n * ((hi - lo) / (n_modes - 1)) == pytest.approx(2.0 * math.pi, rel=1e-15)
+        assert n >= zpf.recurrence_time((lo, hi), n_modes) / sample_dt
+        # the PSD's bins are those of the step sampled
+        omega = np.loadtxt(tmp_path / "psd.csv", delimiter=",", skiprows=1)[:, 0]
+        assert omega[1] == pytest.approx(2.0 * math.pi / (512 * h), rel=1e-14)
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
 
     def test_stationary_small(self, tmp_path):
         # reduced size for speed; the full-size run lives in the acceptance suite
@@ -221,9 +236,14 @@ class TestScenarioRuns:
         {"scenario": "psd-check", "params": {"n_realizations": 32}},
         # Welch segments that overlap by all but 41 samples
         {"scenario": "psd-check", "params": {"segment_len": 4096, "overlap": 0.99}},
+        # one realization of 629,856 samples: the mode sum's ramp and buffer
+        # are most of the peak
+        {"scenario": "psd-check",
+         "params": {"n_realizations": 1, "sample_dt": 0.05, "segment_len": 8192}},
     ], ids=["constants", "roots", "roots-1000", "transient", "transient-fit-all",
             "stationary", "stationary-1000", "dirac", "dirac-10000", "sweep-epsilon",
-            "sweep-0.0005", "psd-check", "psd-32-realizations", "psd-welch-overlap"])
+            "sweep-0.0005", "psd-check", "psd-32-realizations", "psd-welch-overlap",
+            "psd-fine-step"])
     def test_run_stays_within_its_charge(self, tmp_path, dc, config):
         # the cost table's held bytes bound the traced peak, and its written
         # bytes the output directory, manifest included
@@ -363,7 +383,7 @@ class TestExitCodes:
         ({"scenario": "sweep-epsilon", "params": {"epsilons": [0.01]}}, "epsilons"),
         ({"scenario": "sweep-epsilon", "params": {"epsilons": [0.01, 0.01]}}, "epsilons"),
         ({"scenario": "transient", "params": {"fit_window": ["a", 1]}}, "fit_window[0]"),
-        # the default series holds 29,984 samples per realization
+        # the default series holds 30,000 samples per realization
         ({"scenario": "psd-check", "params": {"segment_len": 100000}}, "segment_len"),
         ({"scenario": "transient", "params": {"fit_window": [1, 1e9]}}, "fit_window"),
         # no transient, so no zero crossings to fit
@@ -390,8 +410,8 @@ class TestExitCodes:
         ({"scenario": "transient", "params": {"t_max": 277332}}, "t_max"),
         ({"scenario": "transient", "params": {"epsilon": 0.099, "t_max": 441297}}, "t_max"),
         ({"scenario": "sweep-epsilon", "params": {"epsilons": [1e-5, 2e-5]}}, "epsilons"),
-        # 2.4 GB held at 240 bytes a sample; 793 MB held by 1600 series and
-        # their chirp-z buffers; 375 s of RK4 over 10^4 runs near 0.001; and
+        # 2.4 GB held at 240 bytes a sample; 565 MB held by 1600 series and
+        # their coefficients; 375 s of RK4 over 10^4 runs near 0.001; and
         # 413 MB held by 120,000 roots' records
         ({"scenario": "dirac", "params": {"n_samples": 10**7}}, "n_samples"),
         ({"scenario": "psd-check", "params": {"n_realizations": 1600}}, "n_realizations"),
@@ -399,7 +419,7 @@ class TestExitCodes:
           "params": {"epsilons": [1e-3 + 1e-7 * i for i in range(10_000)]}}, "epsilons"),
         ({"scenario": "roots",
           "params": {"epsilons": [1e-3 + 1e-9 * i for i in range(120_000)]}}, "epsilons"),
-        # Welch segments two samples apart: 1.8 GB of tapered segments and spectra
+        # Welch segments two samples apart: 2.7 GB of tapered segments and spectra
         ({"scenario": "psd-check", "params": {"segment_len": 15000, "overlap": 0.9999}},
          "overlap"),
         # the Nyquist frequency pi / sample_dt must reach the band's edge 1.2

@@ -62,5 +62,5 @@ def test_no_span_records_a_count_error(tmp_path, tracer, config):
         assert totals["dynamics.stationary_mean_z2.calls"] == 1
     if config["scenario"] == "psd-check":
         assert totals["zpf.psd_to_csv.bytes"] > 0
-        assert totals["zpf.phasor_sum.calls"] == 1
+        assert totals["zpf.period_sum.calls"] == 1
         assert totals["zpf.synthesize_ensemble.calls"] == 1

@@ -10,7 +10,7 @@ from zitter.zpf import (
     SpectrumModel,
     child_seeds,
     estimate_psd,
-    phasor_sum,
+    period_sum,
     sed_drive_spectrum,
     synthesize_ensemble,
 )
@@ -22,9 +22,24 @@ GRID_COUNTS = [2, 3, 100, 2000, 4097]
 GRID_BANDS = [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)]
 
 
+def direct_sum(omegas, coeff, times):
+    """Re sum_k c_k e^{i w_k t} of each row of ``coeff`` at ``times``, 2,000 times at once."""
+    out = np.empty((len(coeff), len(times)))
+    for start in range(0, len(times), 2000):
+        t = times[start:start + 2000]
+        out[:, start:start + len(t)] = (coeff @ np.exp(1j * np.multiply.outer(omegas, t))).real
+    return out
+
+
 def drive(ens, h, n_times, epsilon=0.0):
-    """E + eps*E' of a one-row ensemble at the times h n, on the integrator's drive path."""
-    return phasor_sum(ens.band, ens.coefficients(epsilon), h, n_times)[0]
+    """E + eps*E' of a one-row ensemble at the times h n, as a direct sum."""
+    return direct_sum(ens.omegas, ens.coefficients(epsilon), h * np.arange(n_times))[0]
+
+
+def period_drive(ens, dt):
+    """E of a one-row ensemble over one period at period_sum's step h <= dt, and h."""
+    h, e = period_sum(ens.band, ens.coefficients(), math.ceil(ens.t_rec / dt))
+    return h, e[0]
 
 
 def single_mode(amplitude=1.0, omega=1.0, phase=0.0, spacing=1e-3):
@@ -229,7 +244,7 @@ class TestEvaluation:
     def test_parseval_large_modeset(self):
         spec = sed_drive_spectrum(EPS_CODATA)
         ms = synthesize_ensemble(spec, 2000, [13])
-        e = drive(ms, 1.0, int(ms.t_rec / 1.0))
+        _, e = period_drive(ms, 1.0)
         assert np.var(e) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
 
@@ -246,37 +261,74 @@ BAND = (0.8, 1.2)
 
 
 class TestModeSumOracle:
-    """phasor_sum against an explicit double sum that shares no code with it.
+    """period_sum against an explicit double sum that shares no code with it.
 
     The double sum is the cosine-and-sine form sum_k [cc_k cos(w_k t) + sc_k sin(w_k t)],
-    which is Re sum_k c_k e^{i w_k t} with c_k = cc_k - i sc_k.
+    which is Re sum_k c_k e^{i w_k t} with c_k = cc_k - i sc_k, at the times
+    h j that period_sum returns the step of.
     """
 
-    @pytest.mark.parametrize("n_modes, h, n_times", [
-        (64, 0.05, 300),
-        # to t = 248, where the phases w_k t are hundreds of radians
-        (64, 0.37, 672),
-        # crosses a block boundary; not a multiple of the block length
-        (64, 0.11, zpf._BLOCK + 37),
+    @pytest.mark.parametrize("band, n_modes, n", [
+        (BAND, 2, 5),
+        (BAND, 64, 300),
+        # w_0 / d_omega = 141.3...: the ramp is no whole number of FFT bins
+        ((0.83, 1.2), 64, 672),
+        # one sample per mode, the fewest period_sum takes
+        (BAND, 64, 64),
         # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
-        (2000, 2.0, 15545),
-    ], ids=["grid", "offset-grid", "multi-block", "2000-modes-near-t_rec"])
+        (BAND, 2000, 15545),
+    ], ids=["two-modes", "grid", "offset-grid", "n-equals-K", "2000-modes-near-t_rec"])
     @pytest.mark.parametrize("n_real", [None, 3])
-    def test_matches_double_sum(self, n_modes, h, n_times, n_real):
-        omegas = np.linspace(BAND[0], BAND[1], n_modes)
-        times = h * np.arange(n_times)
-        if n_modes == 2000:
-            assert 0.99 * zpf.recurrence_time(BAND, n_modes) <= times[-1]
+    def test_matches_double_sum(self, band, n_modes, n, n_real):
+        omegas = np.linspace(band[0], band[1], n_modes)
         shape = (n_modes,) if n_real is None else (n_modes, n_real)
         rng = np.random.default_rng(17)
         cos_coeff = rng.normal(size=shape)
         sin_coeff = rng.normal(size=shape)
+        h, got = period_sum(band, np.transpose(cos_coeff - 1j * sin_coeff), n)
+        assert h * n * (band[1] - band[0]) / (n_modes - 1) == pytest.approx(2.0 * math.pi)
+        times = h * np.arange(n)
+        if n_modes == 2000:
+            assert 0.99 * zpf.recurrence_time(band, n_modes) <= times[-1]
         expected = trig_double_sum(omegas, cos_coeff, sin_coeff, times)
-        got = phasor_sum(BAND, np.transpose(cos_coeff - 1j * sin_coeff), h, n_times).T
+        got = got.T
         assert got.shape == expected.shape
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
 
+    def test_matches_long_double_sum_to_rounding(self):
+        # psd-check's default grid, 30,000 samples of a period, at the first and
+        # last 250 times 2 pi j / (d_omega n). The ramp's phase w_0 h j reaches
+        # 25,000 rad, where the product w_0 h j rounded in doubles is off by
+        # 3e-12 of the peak
+        ld = np.longdouble
+        if np.finfo(ld).eps > 2.0**-60:
+            pytest.skip("numpy's long double is no wider than a double here")
+        n, d_omega = 30_000, (BAND[1] - BAND[0]) / 1999
+        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 2000, child_seeds(1, 1))
+        c = ens.coefficients()[0]
+        _, got = period_sum(BAND, c, n)
+        j = np.concatenate((np.arange(250), np.arange(n - 250, n)))
+        t = 2 * ld("3.14159265358979323846264338327950288") * j / (ld(d_omega) * n)
+        phase = np.multiply.outer(t, ld(BAND[0]) + np.arange(2000) * ld(d_omega))
+        expected = np.cos(phase) @ c.real.astype(ld) - np.sin(phase) @ c.imag.astype(ld)
+        assert np.max(np.abs(got[j] - expected)) <= 1e-12 * np.max(np.abs(got))
+
+    def test_fewer_samples_than_modes_rejected(self):
+        # numpy.fft.ifft(c, n) would silently drop the modes past the n-th
+        with pytest.raises(ValueError, match="64 modes"):
+            period_sum(BAND, np.ones(64, dtype=complex), 63)
+
+    @pytest.mark.parametrize("n_modes", [2000, 1500])
+    def test_one_period_mean_square_is_exact(self, n_modes):
+        # w_0 / d_omega is whole on (0.8, 1.2), so over one period every cross
+        # term c_k c_l e^{i (w_k + w_l) t} turns through whole circles and sums
+        # to zero: the mean square is sum A_k^2 / 2 to rounding. On (0.83, 1.2)
+        # the cross terms leave O(1 / n): 1.1e-5 at 2000 modes here
+        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), n_modes, child_seeds(8, 3))
+        _, e = period_sum(ens.band, ens.coefficients(), zpf._fft_len(math.ceil(ens.t_rec)))
+        target = np.sum(ens.amplitudes**2) / 2.0
+        assert np.max(np.abs(np.mean(e**2, axis=1) / target - 1.0)) <= 1e-12
 
 
 class TestPsdEstimation:
@@ -315,7 +367,8 @@ class TestPsdEstimation:
         acc = None
         for seed in child_seeds(314, 6):
             ms = synthesize_ensemble(spec, 2000, [seed])
-            omega, psd = estimate_psd(drive(ms, dt, int(ms.t_rec / dt)), dt, 512)
+            h, e = period_drive(ms, dt)
+            omega, psd = estimate_psd(e, h, 512)
             acc = psd if acc is None else acc + psd
         acc /= 6.0
         margin = 4.0 * (omega[1] - omega[0])
