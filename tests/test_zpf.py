@@ -22,18 +22,14 @@ GRID_COUNTS = [2, 3, 100, 2000, 4097]
 GRID_BANDS = [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)]
 
 
-def direct_sum(omegas, coeff, times):
-    """Re sum_k c_k e^{i w_k t} of each row of ``coeff`` at ``times``, 2,000 times at once."""
-    out = np.empty((len(coeff), len(times)))
-    for start in range(0, len(times), 2000):
-        t = times[start:start + 2000]
-        out[:, start:start + len(t)] = (coeff @ np.exp(1j * np.multiply.outer(omegas, t))).real
-    return out
-
-
 def drive(ens, h, n_times, epsilon=0.0):
-    """E + eps*E' of a one-row ensemble at the times h n, as a direct sum."""
-    return direct_sum(ens.omegas, ens.coefficients(epsilon), h * np.arange(n_times))[0]
+    """E + eps*E' of a one-row ensemble at the times h n, summed directly 2,000 times at once."""
+    c, times = ens.coefficients(epsilon)[0], h * np.arange(n_times)
+    out = np.empty(n_times)
+    for start in range(0, n_times, 2000):
+        t = times[start:start + 2000]
+        out[start:start + len(t)] = (c @ np.exp(1j * np.multiply.outer(ens.omegas, t))).real
+    return out
 
 
 def period_drive(ens, dt):
