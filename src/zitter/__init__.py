@@ -29,10 +29,10 @@ from .dynamics import (
 from .errors import ConfigError, NumericalInstabilityError
 from .zpf import (
     ModeEnsemble,
-    SpectrumModel,
     child_seeds,
     estimate_psd,
-    sed_drive_spectrum,
+    mode_step,
+    sed_psd,
     synthesize_ensemble,
 )
 

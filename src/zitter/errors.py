@@ -7,4 +7,5 @@ class ConfigError(ValueError):
 
 class NumericalInstabilityError(RuntimeError):
     """A run cannot give finite results: an integration's one-step map has an
-    eigenvalue |lam| >= 1, or a JSON output would hold a NaN or infinity."""
+    eigenvalue |lam| >= 1, a drive spectrum's mode amplitudes overflow, or a
+    JSON output would hold a NaN or infinity."""

@@ -453,11 +453,12 @@ def _run_stationary(sc, out, fc, dc, params):
     # the drive horizon check of dynamics.stationary_mean_z2, made before
     # synthesis on the grid synthesis will build. A mode spacing of more than
     # 2 ulp(hi) keeps every frequency of that grid distinct
-    (lo, hi), n_modes = params["band"], params["n_modes"]
-    if not (hi - lo) / (n_modes - 1) > 2.0 * math.ulp(hi):
-        raise ConfigError(f"band {params['band']} is too narrow for n_modes {n_modes} "
+    band, n_modes = params["band"], params["n_modes"]
+    d_omega = zpf.mode_step(band, n_modes)
+    if not d_omega > 2.0 * math.ulp(band[1]):
+        raise ConfigError(f"band {band} is too narrow for n_modes {n_modes} "
                           "distinct equally spaced frequencies")
-    t_rec = zpf.recurrence_time((lo, hi), n_modes)
+    t_rec = 2.0 * math.pi / d_omega
     t_end = params["dt"] * dynamics.step_count(params["dt"], t_max)
     if t_end >= t_rec:
         raise ConfigError(
@@ -465,8 +466,7 @@ def _run_stationary(sc, out, fc, dc, params):
             f"n_modes {params['n_modes']} over the band {params['band']}; "
             "raise n_modes or lower t_max"
         )
-    drives = zpf.synthesize_ensemble(zpf.sed_drive_spectrum(eps, tuple(params["band"])),
-                                     params["n_modes"],
+    drives = zpf.synthesize_ensemble(eps, band, n_modes,
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
     stats = analysis.ensemble_stats(dynamics.stationary_mean_z2(
         eps, drives, params["dt"], t_max, discard_time / t_max))
@@ -543,9 +543,12 @@ def _run_sweep(sc, out, fc, dc, params):
 
 
 def _period_samples(p) -> float:
-    """2 pi / (d_omega sample_dt): psd-check's samples of one period at the step sample_dt."""
-    lo, hi = p["band"]
-    return 2.0 * math.pi * (p["n_modes"] - 1) / (hi - lo) / p["sample_dt"]
+    """2 pi / (d_omega sample_dt): psd-check's samples of one period at the step sample_dt.
+
+    A step d_omega that rounds to 0 gives a period of infinitely many samples.
+    """
+    d_omega = zpf.mode_step(p["band"], p["n_modes"])
+    return 2.0 * math.pi / d_omega / p["sample_dt"] if d_omega else math.inf
 
 
 def _run_psd_check(sc, out, fc, dc, params):
@@ -559,7 +562,7 @@ def _run_psd_check(sc, out, fc, dc, params):
     # gives n >= 2 hi / d_omega > 2 (n_modes - 1), so n >= n_modes, as
     # zpf.period_sum requires
     n = zpf._fft_len(math.ceil(_period_samples(params)))
-    d_omega = (band[1] - band[0]) / (params["n_modes"] - 1)
+    d_omega = zpf.mode_step(band, params["n_modes"])
     # the deviation is measured on the Welch bins k d_omega margin_bins or more inside the band
     margin_bins = 4
     bin_width = d_omega * n / params["segment_len"]
@@ -570,8 +573,7 @@ def _run_psd_check(sc, out, fc, dc, params):
     if params["segment_len"] > n:
         raise ConfigError(f"segment_len {params['segment_len']} exceeds the {n} samples per "
                           "realization (one period at a step of at most sample_dt)")
-    spectrum = zpf.sed_drive_spectrum(eps, band)
-    fields = zpf.synthesize_ensemble(spectrum, params["n_modes"],
+    fields = zpf.synthesize_ensemble(eps, band, params["n_modes"],
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
     h, series = zpf.period_sum(band, fields.coefficients(), n)
 
@@ -583,12 +585,10 @@ def _run_psd_check(sc, out, fc, dc, params):
         psd_sum = psd if psd_sum is None else psd_sum + psd
         parseval_errs.append(abs(float(np.var(x)) / target_var - 1.0))
     psd_mean = psd_sum / len(series)
-    zpf.psd_to_csv(omega, psd_mean, os.path.join(out, "psd.csv"))
 
     margin = margin_bins * (omega[1] - omega[0])
     in_band = (omega >= band[0] + margin) & (omega <= band[1] - margin)
-    target = spectrum.psd(omega[in_band])
-    rel_dev = psd_mean[in_band] / target - 1.0
+    rel_dev = psd_mean[in_band] / zpf.sed_psd(eps, omega[in_band]) - 1.0
     payload = {
         "in_band_rms_rel_dev": float(np.sqrt(np.mean(rel_dev**2))),
         "parseval_max_rel_err": max(parseval_errs),
@@ -598,7 +598,9 @@ def _run_psd_check(sc, out, fc, dc, params):
         "n_samples_per_realization": n,
         "sample_step": h,
     }
+    # the JSON goes first: a non-finite value refuses the run before the CSV is written
     _write_json(os.path.join(out, "psd_check.json"), payload)
+    zpf.psd_to_csv(omega, psd_mean, os.path.join(out, "psd.csv"))
     return payload
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 # numpy 2 loads these submodules on first use; load them with the package
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
+
+from .errors import NumericalInstabilityError
 
 PSD_CSV_HEADER = "omega,psd"
 
@@ -30,23 +32,7 @@ _CSV_CHUNK = 4096
 _SCRATCH = 2**15
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
-    """One-sided PSD of one electric-field component over a frequency band."""
-
-    psd: Callable[[np.ndarray], np.ndarray]
-    band_lo: float
-    band_hi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.band_lo < self.band_hi):
-            raise ValueError(
-                f"band edges must satisfy 0 < band_lo < band_hi, got "
-                f"[{self.band_lo}, {self.band_hi}]"
-            )
-
-
-def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -> SpectrumModel:
+def sed_psd(epsilon: float, omega) -> np.ndarray:
     """Zero-point drive spectrum in simulation units: S(W) = epsilon W^3 / pi.
 
     This is the image of the physical zero-point field spectrum
@@ -55,34 +41,23 @@ def sed_drive_spectrum(epsilon: float, band: tuple[float, float] = (0.8, 1.2)) -
     with drive gain g = e / (m omega_C^2 lambda_bar_C); its Lorentzian
     response integral gives a stationary position variance of 1/2.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return epsilon * np.asarray(omega) ** 3 / math.pi
 
-    def psd(omega: np.ndarray) -> np.ndarray:
-        return epsilon * np.asarray(omega) ** 3 / math.pi
 
-    return SpectrumModel(psd=psd, band_lo=band[0], band_hi=band[1])
+def mode_step(band, n_modes: int) -> float:
+    """(hi - lo) / (n_modes - 1), the step d_omega of the n_modes-mode grid across ``band``."""
+    lo, hi = band
+    return (hi - lo) / (n_modes - 1)
 
 
 def mode_frequencies(band, n_modes: int) -> np.ndarray:
     """n_modes equally spaced frequencies across ``band``: ``numpy.linspace``'s values.
 
-    They are k (hi - lo) / (n_modes - 1) + lo, with the last one hi.
+    They are k ``mode_step(band, n_modes)`` + lo, with the last one hi.
     """
-    lo, hi = band
-    omegas = np.arange(n_modes) * ((hi - lo) / (n_modes - 1)) + lo
-    omegas[-1] = hi
+    omegas = np.arange(n_modes) * mode_step(band, n_modes) + band[0]
+    omegas[-1] = band[1]
     return omegas
-
-
-def recurrence_time(band, n_modes: int) -> float:
-    """2*pi / (w_1 - w_0) of ``mode_frequencies(band, n_modes)``; a mode sum repeats after it.
-
-    w_1 is (hi - lo) / (n_modes - 1) + lo, or hi at n_modes = 2, where
-    fl(fl(hi - lo) + lo) - lo is fl(hi - lo) again.
-    """
-    lo, hi = band
-    return 2.0 * math.pi / (((hi - lo) / (n_modes - 1) + lo) - lo)
 
 
 @dataclass(frozen=True)
@@ -116,14 +91,12 @@ class ModeEnsemble:
 
     @property
     def d_omega(self) -> float:
-        """(hi - lo) / (K - 1), the grid's step; the first step w_1 - w_0 may differ by an ulp."""
-        lo, hi = self.band
-        return (hi - lo) / (len(self.amplitudes) - 1)
+        return mode_step(self.band, len(self.amplitudes))
 
     @property
     def t_rec(self) -> float:
-        """Recurrence time 2*pi / (w_1 - w_0); statistics are invalid beyond it."""
-        return recurrence_time(self.band, len(self.amplitudes))
+        """Recurrence time 2*pi / d_omega; statistics are invalid beyond it."""
+        return 2.0 * math.pi / self.d_omega
 
     def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
         """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
@@ -172,29 +145,32 @@ def child_seeds(master_seed: int, n: int) -> list[int]:
     return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(n)]
 
 
-def synthesize_ensemble(spec: SpectrumModel, n_modes: int,
+def synthesize_ensemble(epsilon: float, band, n_modes: int,
                         seeds: Sequence[int]) -> ModeEnsemble:
-    """Equally spaced modes across the band, one row of seeded uniform random phases per seed.
+    """``sed_psd(epsilon, .)`` on n_modes equally spaced modes, one row of phases per seed.
 
-    The frequencies and amplitudes are computed once for all realizations;
-    row r of the phases is ``numpy.random.default_rng(seeds[r])``'s
+    The amplitudes sqrt(2 S(w_k) d_omega) are computed once for all
+    realizations; row r of the phases is ``numpy.random.default_rng(seeds[r])``'s
     ``uniform(0, 2 pi, n_modes)``, which is 0 + 2 pi U for its
     ``random(n_modes)`` draws U: the rows are drawn in place and scaled once.
+    Raises NumericalInstabilityError when an amplitude overflows.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < band[0] < band[1]:
+        raise ValueError(f"band edges must satisfy 0 < lo < hi, got {band}")
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    band = (spec.band_lo, spec.band_hi)
-    omegas = mode_frequencies(band, n_modes)
-    psd_values = np.asarray(spec.psd(omegas), dtype=float)
-    if np.any(psd_values < 0.0) or not np.all(np.isfinite(psd_values)):
-        raise ValueError("spectral density must be finite and non-negative on the band")
-    d_omega = omegas[1] - omegas[0]
-    amplitudes = np.sqrt(2.0 * psd_values * d_omega)
+    psd = sed_psd(epsilon, mode_frequencies(band, n_modes))
+    amplitudes = np.sqrt(2.0 * psd * mode_step(band, n_modes))
+    if not np.all(np.isfinite(amplitudes)):
+        raise NumericalInstabilityError(
+            f"the drive amplitudes sqrt(2 S(w) d_omega) overflow on the band {list(band)}")
     phases = np.empty((len(seeds), n_modes))
     for row, seed in zip(phases, seeds):
         np.random.default_rng(seed).random(out=row)
     phases *= 2.0 * math.pi
-    return ModeEnsemble(band=band, amplitudes=amplitudes, phases=phases)
+    return ModeEnsemble(band=tuple(band), amplitudes=amplitudes, phases=phases)
 
 
 def _fft_len(n: int) -> int:
@@ -213,9 +189,9 @@ def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Re sum_k c_k e^{i w_k h j} at the n times h j, j < n, of one period 2 pi / d_omega.
 
     The w_k = w_0 + k d_omega are the K >= 2 modes of ``band``, d_omega =
-    (hi - lo) / (K - 1), and K is the length of a row of the complex
-    ``coeff``: (K,) for one realization or realization-major (R, K). Returns
-    the step h = 2 pi / (d_omega n) and the sums, shape (n,) or (R, n).
+    ``mode_step(band, K)``, and K is the length of a row of the complex,
+    realization-major ``coeff`` (R, K). Returns the step h = 2 pi / (d_omega n)
+    and the sums, shape (R, n).
 
     On that grid w_k h j = w_0 h j + 2 pi k j / n, so a row's sums are
     Re e^{i w_0 h j} (n ifft(c, n))_j (Cooley & Tukey 1965): one inverse FFT
@@ -224,13 +200,12 @@ def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     phase w_0 h j is reduced modulo 2 pi before it is rounded: w_0 =
     (m + f) d_omega with integer m and fmod's exact remainder f d_omega.
     """
-    lo, hi = band
-    rows = np.atleast_2d(coeff)
-    n_modes = rows.shape[1]
+    lo = band[0]
+    n_modes = coeff.shape[1]
     if n < n_modes:
         # ifft(c, n) would drop the modes past the n-th
         raise ValueError(f"a period of n = {n} samples cannot hold {n_modes} modes")
-    d_omega = (hi - lo) / (n_modes - 1)
+    d_omega = mode_step(band, n_modes)
     rest = math.fmod(lo, d_omega)
     whole, frac = round((lo - rest) / d_omega) % n, rest / d_omega
     s = math.isqrt(n - 1) + 1
@@ -239,14 +214,14 @@ def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
                   for j in (s * np.arange(s)[:, None], np.arange(s)))
     np.multiply(by_a, by_b, out=ramp)
     ramp, buf = ramp.reshape(-1)[:n], buf.reshape(-1)[:n]
-    out = np.empty((len(rows), n))
-    for row, c in zip(out, rows):
+    out = np.empty((len(coeff), n))
+    for row, c in zip(out, coeff):
         buf[:n_modes] = c
         buf[n_modes:] = 0.0
         np.fft.ifft(buf, norm="forward", out=buf)
         buf *= ramp
         row[:] = buf.real
-    return 2.0 * math.pi / (d_omega * n), out if np.ndim(coeff) == 2 else out[0]
+    return 2.0 * math.pi / (d_omega * n), out
 
 
 def estimate_psd(values: Sequence[float], dt: float, segment_len: int,
@@ -285,16 +260,12 @@ def psd_to_csv(omega: np.ndarray, psd: np.ndarray, path: str) -> None:
 def _write_csv(path: str, header: str, columns: Iterable) -> None:
     """Write equal-length columns as CSV rows of ``repr(float(value))``.
 
-    Rows are formatted from Python floats in the fewest chunks of at most
-    ``_CSV_CHUNK`` rows, split as evenly as the rows allow, so at most one
-    chunk of text is held at once.
+    Rows are formatted from Python floats in chunks of ``_CSV_CHUNK`` rows,
+    the last one shorter, so at most one chunk of text is held at once.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
-    n_rows = len(arrays[0])
-    n_chunks = -(-n_rows // _CSV_CHUNK)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(n_chunks):
-            lo, hi = i * n_rows // n_chunks, (i + 1) * n_rows // n_chunks
-            rows = zip(*(map(repr, a[lo:hi].tolist()) for a in arrays))
+        for lo in range(0, len(arrays[0]), _CSV_CHUNK):
+            rows = zip(*(map(repr, a[lo:lo + _CSV_CHUNK].tolist()) for a in arrays))
             fh.write("\n".join(map(",".join, rows)) + "\n")

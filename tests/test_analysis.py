@@ -12,7 +12,7 @@ from zitter.dynamics import (
     integrate_transient,
     stationary_mean_z2,
 )
-from zitter.zpf import child_seeds, sed_drive_spectrum, synthesize_ensemble
+from zitter.zpf import child_seeds, synthesize_ensemble
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 DT = 2.0 * math.pi / 200.0
@@ -178,8 +178,7 @@ class TestEnsembleStatistics:
 
     def test_variance_is_quadratic_in_drive(self):
         eps = 0.02
-        spec = sed_drive_spectrum(eps)
-        sets = synthesize_ensemble(spec, 128, (21, 22, 23))
+        sets = synthesize_ensemble(eps, (0.8, 1.2), 128, (21, 22, 23))
         loud = dataclasses.replace(sets, amplitudes=2.0 * sets.amplitudes)
         s_base = ensemble_stats(stationary_mean_z2(eps, sets, DT, 8.0 / eps, 0.3))
         s_loud = ensemble_stats(stationary_mean_z2(eps, loud, DT, 8.0 / eps, 0.3))
@@ -188,11 +187,10 @@ class TestEnsembleStatistics:
     def test_stderr_shrinks_like_sqrt_n(self):
         # cheap drive settings; only the n-scaling of the error bar matters
         eps = 0.02
-        spec = sed_drive_spectrum(eps)
         errs = []
         sizes = (8, 32, 128)
         for n in sizes:
-            drives = synthesize_ensemble(spec, 256, child_seeds(99, n))
+            drives = synthesize_ensemble(eps, (0.8, 1.2), 256, child_seeds(99, n))
             errs.append(ensemble_stats(stationary_mean_z2(eps, drives, DT, 8.0 / eps,
                                                           0.3)).stderr)
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]

@@ -144,7 +144,7 @@ class TestScenarioRuns:
         h, n = payload["sample_step"], payload["n_samples_per_realization"]
         assert h <= sample_dt
         assert h * n * ((hi - lo) / (n_modes - 1)) == pytest.approx(2.0 * math.pi, rel=1e-15)
-        assert n >= zpf.recurrence_time((lo, hi), n_modes) / sample_dt
+        assert n >= 2.0 * math.pi / zpf.mode_step((lo, hi), n_modes) / sample_dt
         # the PSD's bins are those of the step sampled
         omega = np.loadtxt(tmp_path / "psd.csv", delimiter=",", skiprows=1)[:, 0]
         assert omega[1] == pytest.approx(2.0 * math.pi / (512 * h), rel=1e-14)
@@ -432,11 +432,14 @@ class TestExitCodes:
         # 2 Re z0 and -eps Re z0 - 2 Im z0 overflow to infinity
         ({"scenario": "transient", "params": {"z0_im": 1e308}}, "z0_im"),
         ({"scenario": "transient", "params": {"z0_re": 9e307}}, "z0_re"),
-        # the last of 9,901 steps lands at t_rec 1555.0883635269424 of the mode
-        # grid, just under 2 pi (n_modes - 1) / band width = 1555.0883635269429
+        # the last of 9,901 steps lands exactly on t_rec = 2 pi / d_omega =
+        # 1555.088363526948 of the mode grid
         ({"scenario": "stationary", "params": {
-            "n_modes": 100, "band": [0.8, 1.2], "t_max": 1555.0883635269429,
-            "dt": 0.15706376765245358, "n_realizations": 2}}, "n_modes"),
+            "n_modes": 100, "band": [0.8, 1.2], "t_max": 1555.088363526948,
+            "dt": 0.15706376765245408, "n_realizations": 2}}, "n_modes"),
+        # a mode step (hi - lo) / 2 that rounds to 0: a period of infinitely many samples
+        ({"scenario": "psd-check", "params": {"band": [5e-324, 1e-323], "n_modes": 3}},
+         "band"),
         # a mode spacing of 5e-17, below the doubles' spacing near 1: the grid's
         # frequencies are not distinct
         ({"scenario": "stationary", "params": {"band": [1.0, 1.0000000000001],
@@ -470,7 +473,8 @@ class TestExitCodes:
             "psd-aliased-2.7", "psd-aliased-3.0", "psd-aliased-5.0", "psd-no-bin-in-band",
             "roots-epsilon-too-small", "transient-infinite-velocity",
             "transient-infinite-position", "stationary-horizon-rounding",
-            "stationary-band-too-narrow", "transient-huge-t-max", "transient-huge-dt",
+            "psd-zero-mode-step", "stationary-band-too-narrow", "transient-huge-t-max",
+            "transient-huge-dt",
             "transient-huge-z0", "stationary-huge-discard-time", "psd-huge-n-modes",
             "dirac-huge-momentum", "roots-huge-epsilon", "psd-huge-segment-len",
             "dirac-huge-n-samples", "transient-boolean-t-max", "transient-boolean-z0",
@@ -499,6 +503,30 @@ class TestExitCodes:
         assert not (out / "dirac.json").exists()
         assert not (out / "dirac.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("config, what", [
+        # eps w^3 / pi overflows near w = 1e103, and so do the drive amplitudes
+        ({"scenario": "stationary", "params": {
+            "band": [1e103, 1.0000001e103], "n_modes": 2, "dt": 1e-97, "t_max": 1e-96,
+            "discard_time": 0}}, "amplitudes"),
+        ({"scenario": "psd-check", "params": {
+            "band": [1e103, 2e103], "n_modes": 20, "sample_dt": 1.5707963267948966e-103,
+            "segment_len": 64, "n_realizations": 1}}, "amplitudes"),
+        # finite amplitudes whose Welch power overflows: psd_check.json is
+        # refused, and psd.csv, written after it, is never begun
+        ({"scenario": "psd-check", "params": {
+            "band": [5.5e77, 1.1e78], "n_modes": 20, "sample_dt": 2.855993321445266e-78,
+            "segment_len": 64, "n_realizations": 1}}, "psd_check.json"),
+    ], ids=["stationary-drive-overflow", "psd-drive-overflow", "psd-welch-overflow"])
+    def test_overflowing_drive_returns_3(self, tmp_path, capsys, config, what):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and what in err
+        assert not any(out.iterdir())
+
     def test_extreme_admissible_configs_run(self, tmp_path):
         # the smallest epsilon the cubic still resolves
         path = tmp_path / "roots.json"
@@ -521,7 +549,12 @@ class TestExitCodes:
                     / "stationary.json").read_text()),
         # 2e6 mode coefficients, charged 56.4 MB held; z at its 85,060 steps is never formed
         {"scenario": "stationary", "params": {"n_realizations": 1000}},
-    ], ids=["default", "perfbench", "1000-realizations"])
+        # the last of 9,901 steps lands at 1555.0883635269474, 3 ulp under
+        # t_rec = 2 pi / d_omega = 1555.088363526948 (stationary-horizon-rounding's twin)
+        {"scenario": "stationary", "params": {
+            "n_modes": 100, "band": [0.8, 1.2], "t_max": 1555.088363526948,
+            "dt": 0.15706376765245403, "n_realizations": 2}},
+    ], ids=["default", "perfbench", "1000-realizations", "last-step-under-t_rec"])
     def test_size_limit_admits_stationary(self, tmp_path, monkeypatch, config):
         # every check runs before the modes are synthesized; stop the run there
         class Admitted(Exception):

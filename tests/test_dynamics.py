@@ -14,10 +14,11 @@ from zitter.dynamics import (
     trajectory_to_csv,
 )
 from zitter.analysis import ensemble_stats
-from zitter.zpf import ModeEnsemble, sed_drive_spectrum, synthesize_ensemble
+from zitter.zpf import ModeEnsemble, synthesize_ensemble
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
 DT = 2.0 * math.pi / 200.0
+BAND = (0.8, 1.2)
 
 
 def exact_reduced(t, epsilon, z0=1.0, v0=None):
@@ -122,14 +123,13 @@ class TestUnforcedIntegration:
 class TestEnsemble:
     def test_matches_single_integration(self):
         # each row of a 3-row ensemble's statistic is its 1-row ensemble's
-        spec = sed_drive_spectrum(EPS_CODATA)
         seeds = (11, 12, 13)
         means = dynamics.stationary_mean_z2(
-            EPS_CODATA, synthesize_ensemble(spec, 64, seeds), DT, 150.0, 0.25)
+            EPS_CODATA, synthesize_ensemble(EPS_CODATA, BAND, 64, seeds), DT, 150.0, 0.25)
         assert means.shape == (3,)
         for seed, mean in zip(seeds, means):
             single = dynamics.stationary_mean_z2(
-                EPS_CODATA, synthesize_ensemble(spec, 64, [seed]), DT, 150.0, 0.25)
+                EPS_CODATA, synthesize_ensemble(EPS_CODATA, BAND, 64, [seed]), DT, 150.0, 0.25)
             assert single.shape == (1,)
             assert mean == pytest.approx(single[0], rel=1e-12, abs=0.0)
 
@@ -144,7 +144,7 @@ class TestStreamedStatistic:
         # the textbook loop's trajectories; one full realization group and a
         # partial one, 19,100 samples at discard 0 and 13,370 at 0.3
         eps, n_real, t_max = 0.02, dynamics._STREAM_GROUP + 3, 600.0
-        drives = synthesize_ensemble(sed_drive_spectrum(eps), 64, range(n_real))
+        drives = synthesize_ensemble(eps, BAND, 64, range(n_real))
         n_steps = dynamics.step_count(DT, t_max)
         ref_z, _ = rk4_loop(eps, 0.0, 0.0, half_step_drive(drives, eps, DT, n_steps),
                             DT, n_steps)
@@ -173,7 +173,7 @@ class TestStreamedStatistic:
         # carried without their low part (1.6e-12), or exact but on the
         # synthesized grid rather than the FFT's w_0 + k dw (8.2e-13), they did not
         eps, t_max, discard = 0.001, 600.0, 0.2
-        drives = synthesize_ensemble(sed_drive_spectrum(eps), 500, zpf.child_seeds(3, 8))
+        drives = synthesize_ensemble(eps, BAND, 500, zpf.child_seeds(3, 8))
         n_steps = dynamics.step_count(DT, t_max)
         z = closed_form_z(eps, drives, DT, n_steps)
         first = dynamics.first_kept_sample(discard, n_steps + 1)
@@ -187,7 +187,7 @@ class TestStreamedStatistic:
         import tracemalloc
 
         eps = 0.02
-        drives = synthesize_ensemble(sed_drive_spectrum(eps), 256,
+        drives = synthesize_ensemble(eps, BAND, 256,
                                      range(dynamics._STREAM_GROUP))
         peaks = []
         for t_max in (100.0, 400.0):
@@ -201,19 +201,19 @@ class TestStreamedStatistic:
         assert abs(peaks[1] - peaks[0]) < 10**6
 
     def test_discard_fraction_guard(self):
-        drives = synthesize_ensemble(sed_drive_spectrum(0.02), 64, [1, 2])
+        drives = synthesize_ensemble(0.02, BAND, 64, [1, 2])
         with pytest.raises(ValueError, match="discard"):
             dynamics.stationary_mean_z2(0.02, drives, DT, 100.0, 1.0)
 
     def test_horizon_guard(self):
-        drives = synthesize_ensemble(sed_drive_spectrum(0.02), 16, [1, 2])
+        drives = synthesize_ensemble(0.02, BAND, 16, [1, 2])
         with pytest.raises(ValueError, match="horizon"):
             dynamics.stationary_mean_z2(0.02, drives, DT, 2.0 * drives.t_rec, 0.5)
 
 
 class TestTransferError:
     def test_small_at_default_step_and_fourth_order(self):
-        omegas = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 2000, [1]).omegas
+        omegas = synthesize_ensemble(EPS_CODATA, BAND, 2000, [1]).omegas
         err = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT, omegas)
         half = dynamics.rk4_transfer_max_rel_err(EPS_CODATA, DT / 2.0, omegas)
         assert err < 1e-5
@@ -294,7 +294,7 @@ class TestIntegratorOracle:
         # the closed-form sum of z^2 against the textbook loop's z, from rest;
         # 16 equally spaced modes, t_rec 235.6. At eps 0.001 the free mode
         # barely decays over the run and cancels most of the steady sum
-        drives = synthesize_ensemble(sed_drive_spectrum(eps), 16, [1, 2, 3])
+        drives = synthesize_ensemble(eps, BAND, 16, [1, 2, 3])
         n_steps = int(200.0 / dt)
         ref_z, _ = rk4_loop(eps, 0.0, 0.0, half_step_drive(drives, eps, dt, n_steps),
                             dt, n_steps)

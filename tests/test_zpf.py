@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from zitter import zpf
+from zitter.errors import NumericalInstabilityError
 from zitter.zpf import (
     ModeEnsemble,
-    SpectrumModel,
     child_seeds,
     estimate_psd,
     period_sum,
-    sed_drive_spectrum,
+    sed_psd,
     synthesize_ensemble,
 )
 
 EPS_CODATA = 0.004864901713183761  # 2*alpha/3
+BAND = (0.8, 1.2)
 
 GRID_COUNTS = [2, 3, 100, 2000, 4097]
 # (0.03, 0.32): k (hi - lo) / (n - 1) + lo misses hi at k = n - 1 for 3 and 100 modes
@@ -49,62 +50,70 @@ def single_mode(amplitude=1.0, omega=1.0, phase=0.0, spacing=1e-3):
 
 class TestSynthesis:
     def test_zero_spectrum_gives_zero_field(self):
-        spec = SpectrumModel(psd=lambda w: np.zeros_like(w), band_lo=0.8, band_hi=1.2)
-        ms = synthesize_ensemble(spec, 64, [3])
-        assert np.all(ms.amplitudes == 0.0)
+        ms = dataclasses.replace(synthesize_ensemble(EPS_CODATA, BAND, 64, [3]),
+                                 amplitudes=np.zeros(64))
+        assert np.all(ms.coefficients(0.09) == 0.0)
         assert np.all(drive(ms, ms.t_rec * 0.9 / 99, 100) == 0.0)
 
     def test_same_seed_is_bit_identical(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        a = synthesize_ensemble(spec, 128, [99])
-        b = synthesize_ensemble(spec, 128, [99])
+        a = synthesize_ensemble(EPS_CODATA, BAND, 128, [99])
+        b = synthesize_ensemble(EPS_CODATA, BAND, 128, [99])
         assert np.array_equal(a.phases, b.phases)
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.array_equal(a.omegas, b.omegas)
 
     def test_different_seeds_differ(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        a = synthesize_ensemble(spec, 128, [1])
-        b = synthesize_ensemble(spec, 128, [2])
+        a = synthesize_ensemble(EPS_CODATA, BAND, 128, [1])
+        b = synthesize_ensemble(EPS_CODATA, BAND, 128, [2])
         assert not np.array_equal(a.phases, b.phases)
 
     def test_construction_identity(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 256, [5])
-        target = np.asarray(spec.psd(ms.omegas))
-        d_omega = ms.omegas[1] - ms.omegas[0]
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 256, [5])
+        target = EPS_CODATA * ms.omegas**3 / math.pi
+        d_omega = (BAND[1] - BAND[0]) / 255
         assert np.max(np.abs(ms.amplitudes**2 / (2.0 * d_omega) / target - 1.0)) < 1e-12
 
     def test_parseval_time_average(self):
         # direct summation oracle vs long-time average over one recurrence
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 400, [7])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 400, [7])
         e = drive(ms, 0.5, int(ms.t_rec / 0.5))
         assert np.mean(e**2) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
     def test_amplitude_scaling_is_quadratic_in_variance(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 64, [11])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 64, [11])
         n = int(ms.t_rec / 0.7)
         base = drive(ms, 0.7, n)
         scaled = drive(dataclasses.replace(ms, amplitudes=3.0 * ms.amplitudes), 0.7, n)
         assert np.var(scaled) == pytest.approx(9.0 * np.var(base), rel=1e-12)
 
     def test_too_few_modes_rejected(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
         with pytest.raises(ValueError, match="n_modes"):
-            synthesize_ensemble(spec, 1, [0])
+            synthesize_ensemble(EPS_CODATA, BAND, 1, [0])
 
     def test_nonpositive_band_rejected(self):
         with pytest.raises(ValueError, match="band"):
-            SpectrumModel(psd=lambda w: w, band_lo=-0.1, band_hi=1.0)
+            synthesize_ensemble(EPS_CODATA, (-0.1, 1.0), 16, [0])
         with pytest.raises(ValueError, match="band"):
-            SpectrumModel(psd=lambda w: w, band_lo=1.0, band_hi=0.5)
+            synthesize_ensemble(EPS_CODATA, (0.0, 1.0), 16, [0])
+        with pytest.raises(ValueError, match="band"):
+            synthesize_ensemble(EPS_CODATA, (1.0, 0.5), 16, [0])
 
     def test_negative_psd_rejected(self):
-        spec = SpectrumModel(psd=lambda w: -np.ones_like(w), band_lo=0.5, band_hi=1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            synthesize_ensemble(spec, 16, [0])
+        # S = eps w^3 / pi is negative, zero or undefined on the band
+        for epsilon in (-EPS_CODATA, 0.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                synthesize_ensemble(epsilon, BAND, 16, [0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("band, n_modes", [
+        # w^3 overflows at the top of the band
+        ((1e103, 2e103), 20),
+        # S is finite, but 2 S d_omega is not
+        ((5e101, 1e102), 2),
+    ])
+    def test_overflowing_amplitudes_rejected(self, band, n_modes):
+        with pytest.raises(NumericalInstabilityError, match="overflow"):
+            synthesize_ensemble(EPS_CODATA, band, n_modes, [0])
 
     def test_child_seeds_deterministic(self):
         assert child_seeds(123, 5) == child_seeds(123, 5)
@@ -114,16 +123,15 @@ class TestSynthesis:
 class TestEnsemble:
     def test_phases_are_each_seeds_stream(self):
         seeds = child_seeds(2718, 5)
-        ens = zpf.synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 300, seeds)
+        ens = zpf.synthesize_ensemble(EPS_CODATA, BAND, 300, seeds)
         assert ens.phases.shape == (5, 300)
         for row, seed in zip(ens.phases, seeds):
             expected = np.random.default_rng(seed).random(300) * (2.0 * math.pi)
             assert row.tobytes() == expected.tobytes()
 
     def test_band_is_a_row_of_the_ensemble(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ens = zpf.synthesize_ensemble(spec, 128, [7, 8])
-        ms = synthesize_ensemble(spec, 128, [8])
+        ens = zpf.synthesize_ensemble(EPS_CODATA, BAND, 128, [7, 8])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 128, [8])
         assert np.array_equal(ms.omegas, ens.omegas)
         assert np.array_equal(ms.amplitudes, ens.amplitudes)
         assert np.array_equal(ms.phases, ens.phases[1:])
@@ -131,26 +139,32 @@ class TestEnsemble:
     @pytest.mark.parametrize("n_modes", GRID_COUNTS)
     @pytest.mark.parametrize("band", GRID_BANDS)
     def test_frequency_prefix_is_the_grids(self, n_modes, band):
-        # the recurrence time a run is checked against before synthesis is the
-        # grid's, from its first two frequencies, bit for bit
+        # the recurrence time a run is checked against before synthesis, from
+        # the step of band and count, is the synthesized grid's, bit for bit
         grid = zpf.mode_frequencies(band, n_modes)
         assert grid.tobytes() == np.linspace(band[0], band[1], n_modes).tobytes()
-        assert zpf.recurrence_time(band, n_modes) == 2.0 * math.pi / (grid[1] - grid[0])
+        ens = synthesize_ensemble(EPS_CODATA, band, n_modes, [1])
+        assert 2.0 * math.pi / zpf.mode_step(band, n_modes) == ens.t_rec
+        assert ens.t_rec == 2.0 * math.pi / ens.d_omega
 
     @pytest.mark.parametrize("n_modes", GRID_COUNTS)
     @pytest.mark.parametrize("band", GRID_BANDS)
     def test_grid_is_carried_as_band_and_count(self, n_modes, band):
         # the step is the last frequency's distance from the first over K - 1,
-        # and the recurrence time is the first step's
-        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA, band), n_modes, [1])
+        # and the recurrence time is one period of that step. The amplitudes
+        # take that step too: on (0.3, 0.30000001) the first step w_1 - w_0 is
+        # up to 1e-6 off it
+        ens = synthesize_ensemble(EPS_CODATA, band, n_modes, [1])
         w = np.linspace(band[0], band[1], n_modes)
         assert ens.omegas.tobytes() == w.tobytes()
         assert ens.d_omega == (w[-1] - w[0]) / (n_modes - 1)
-        assert ens.t_rec == 2.0 * math.pi / (w[1] - w[0])
+        assert ens.t_rec == 2.0 * math.pi / ens.d_omega
+        target = np.sqrt(2.0 * EPS_CODATA * w**3 / math.pi * ens.d_omega)
+        assert np.max(np.abs(ens.amplitudes / target - 1.0)) <= 4 * 2**-52
 
     @pytest.mark.parametrize("epsilon", [0.0, EPS_CODATA, 0.09])
     def test_coefficients_mode_by_mode(self, epsilon):
-        ens = zpf.synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 64, child_seeds(5, 3))
+        ens = zpf.synthesize_ensemble(EPS_CODATA, BAND, 64, child_seeds(5, 3))
         c = ens.coefficients(epsilon)
         assert c.shape == (3, 64) and c.dtype == complex
         for r in range(3):
@@ -187,7 +201,7 @@ class TestCoefficientKernel:
         (3, zpf._SCRATCH + 5),
     ], ids=["partial-last-block", "row-past-scratch"])
     def test_blocks_are_independent(self, n_real, n_modes):
-        ens = synthesize_ensemble(sed_drive_spectrum(0.05), n_modes, child_seeds(9, n_real))
+        ens = synthesize_ensemble(0.05, BAND, n_modes, child_seeds(9, n_real))
         c = ens.coefficients(0.05)
         for r in range(n_real):
             row = dataclasses.replace(ens, phases=ens.phases[r:r + 1])
@@ -198,7 +212,7 @@ class TestCoefficientKernel:
         # scratch: 2^20 bytes
         import tracemalloc
 
-        ens = synthesize_ensemble(sed_drive_spectrum(0.05), 4096, child_seeds(3, 64))
+        ens = synthesize_ensemble(0.05, BAND, 4096, child_seeds(3, 64))
         tracemalloc.start()
         try:
             c = ens.coefficients(0.05)
@@ -223,8 +237,7 @@ class TestEvaluation:
         assert drive(single_mode(), *self.QUARTER, 1.0)[1] == pytest.approx(-1.0, rel=1e-9)
 
     def test_derivative_is_term_by_term(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 32, [4])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 32, [4])
         h = 50.0 / 499
         t = h * np.arange(500)
         e = sum(a * np.cos(w * t + p)
@@ -238,8 +251,7 @@ class TestEvaluation:
         assert np.max(np.abs(got - (e + edot))) < 1e-12 * np.max(np.abs(edot))
 
     def test_parseval_large_modeset(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 2000, [13])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 2000, [13])
         _, e = period_drive(ms, 1.0)
         assert np.var(e) == pytest.approx(np.sum(ms.amplitudes**2) / 2.0, rel=1e-2)
 
@@ -251,9 +263,6 @@ def trig_double_sum(omegas, cos_coeff, sin_coeff, times):
         total = total + np.multiply.outer(np.cos(w * times), cc) \
             + np.multiply.outer(np.sin(w * times), sc)
     return total
-
-
-BAND = (0.8, 1.2)
 
 
 class TestModeSumOracle:
@@ -274,6 +283,7 @@ class TestModeSumOracle:
         # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
         (BAND, 2000, 15545),
     ], ids=["two-modes", "grid", "offset-grid", "n-equals-K", "2000-modes-near-t_rec"])
+    # None: one realization, drawn as K values and summed as a one-row array
     @pytest.mark.parametrize("n_real", [None, 3])
     def test_matches_double_sum(self, band, n_modes, n, n_real):
         omegas = np.linspace(band[0], band[1], n_modes)
@@ -281,13 +291,14 @@ class TestModeSumOracle:
         rng = np.random.default_rng(17)
         cos_coeff = rng.normal(size=shape)
         sin_coeff = rng.normal(size=shape)
-        h, got = period_sum(band, np.transpose(cos_coeff - 1j * sin_coeff), n)
+        coeff = np.transpose(cos_coeff - 1j * sin_coeff).reshape(-1, n_modes)
+        h, got = period_sum(band, coeff, n)
         assert h * n * (band[1] - band[0]) / (n_modes - 1) == pytest.approx(2.0 * math.pi)
         times = h * np.arange(n)
         if n_modes == 2000:
-            assert 0.99 * zpf.recurrence_time(band, n_modes) <= times[-1]
+            assert 0.99 * 2.0 * math.pi / zpf.mode_step(band, n_modes) <= times[-1]
         expected = trig_double_sum(omegas, cos_coeff, sin_coeff, times)
-        got = got.T
+        got = got[0] if n_real is None else got.T
         assert got.shape == expected.shape
         rms = np.sqrt(np.mean(expected**2))
         assert np.max(np.abs(got - expected)) <= 1e-8 * rms
@@ -301,9 +312,9 @@ class TestModeSumOracle:
         if np.finfo(ld).eps > 2.0**-60:
             pytest.skip("numpy's long double is no wider than a double here")
         n, d_omega = 30_000, (BAND[1] - BAND[0]) / 1999
-        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), 2000, child_seeds(1, 1))
+        ens = synthesize_ensemble(EPS_CODATA, BAND, 2000, child_seeds(1, 1))
         c = ens.coefficients()[0]
-        _, got = period_sum(BAND, c, n)
+        _, (got,) = period_sum(BAND, c[None, :], n)
         j = np.concatenate((np.arange(250), np.arange(n - 250, n)))
         t = 2 * ld("3.14159265358979323846264338327950288") * j / (ld(d_omega) * n)
         phase = np.multiply.outer(t, ld(BAND[0]) + np.arange(2000) * ld(d_omega))
@@ -313,7 +324,7 @@ class TestModeSumOracle:
     def test_fewer_samples_than_modes_rejected(self):
         # numpy.fft.ifft(c, n) would silently drop the modes past the n-th
         with pytest.raises(ValueError, match="64 modes"):
-            period_sum(BAND, np.ones(64, dtype=complex), 63)
+            period_sum(BAND, np.ones((1, 64), dtype=complex), 63)
 
     @pytest.mark.parametrize("n_modes", [2000, 1500])
     def test_one_period_mean_square_is_exact(self, n_modes):
@@ -321,7 +332,7 @@ class TestModeSumOracle:
         # term c_k c_l e^{i (w_k + w_l) t} turns through whole circles and sums
         # to zero: the mean square is sum A_k^2 / 2 to rounding. On (0.83, 1.2)
         # the cross terms leave O(1 / n): 1.1e-5 at 2000 modes here
-        ens = synthesize_ensemble(sed_drive_spectrum(EPS_CODATA), n_modes, child_seeds(8, 3))
+        ens = synthesize_ensemble(EPS_CODATA, BAND, n_modes, child_seeds(8, 3))
         _, e = period_sum(ens.band, ens.coefficients(), zpf._fft_len(math.ceil(ens.t_rec)))
         target = np.sum(ens.amplitudes**2) / 2.0
         assert np.max(np.abs(np.mean(e**2, axis=1) / target - 1.0)) <= 1e-12
@@ -346,8 +357,7 @@ class TestPsdEstimation:
         assert p_hi / p_lo == pytest.approx(9.0, rel=2e-2)
 
     def test_band_purity(self):
-        spec = sed_drive_spectrum(EPS_CODATA)
-        ms = synthesize_ensemble(spec, 512, [21])
+        ms = synthesize_ensemble(EPS_CODATA, BAND, 512, [21])
         dt = 2.0 * math.pi / 8.0
         omega, psd = estimate_psd(drive(ms, dt, int(ms.t_rec / dt)), dt, 4096)
         total = np.trapezoid(psd, omega)
@@ -358,18 +368,17 @@ class TestPsdEstimation:
 
     def test_sed_band_matches_target(self):
         # averaged over realizations; a single Welch pass has an ~8% noise floor
-        spec = sed_drive_spectrum(EPS_CODATA)
         dt = 2.0 * math.pi / 6.0
         acc = None
         for seed in child_seeds(314, 6):
-            ms = synthesize_ensemble(spec, 2000, [seed])
+            ms = synthesize_ensemble(EPS_CODATA, BAND, 2000, [seed])
             h, e = period_drive(ms, dt)
             omega, psd = estimate_psd(e, h, 512)
             acc = psd if acc is None else acc + psd
         acc /= 6.0
         margin = 4.0 * (omega[1] - omega[0])
         sel = (omega >= 0.8 + margin) & (omega <= 1.2 - margin)
-        rel_dev = acc[sel] / spec.psd(omega[sel]) - 1.0
+        rel_dev = acc[sel] / sed_psd(EPS_CODATA, omega[sel]) - 1.0
         assert np.sqrt(np.mean(rel_dev**2)) < 0.05
 
     @pytest.mark.parametrize("segment_len", [256, 257])
@@ -400,7 +409,7 @@ class TestPsdEstimation:
 
 
 class TestCsvWriter:
-    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop, in even chunks."""
+    """``zpf._write_csv`` writes the text of a per-value ``repr`` row loop, a chunk at a time."""
 
     C = zpf._CSV_CHUNK
 
@@ -475,16 +484,14 @@ class TestUnitsConsistency:
             s_e = 2.0 * fc.hbar * (dc.omega_C * w) ** 3 / (3.0 * math.pi * fc.c**3)
             return s_e * dc.omega_C
 
-        sim = sed_drive_spectrum(dc.epsilon)
         w = np.linspace(0.5, 2.0, 31)
         assert np.allclose(gain**2 * field_psd(w), dc.epsilon * w**3 / math.pi,
                            rtol=1e-12, atol=0.0)
-        assert np.allclose(sim.psd(w), dc.epsilon * w**3 / math.pi, rtol=1e-15, atol=0.0)
-        phys = synthesize_ensemble(SpectrumModel(field_psd, 0.8, 1.2), 64, [17])
-        drive_modes = synthesize_ensemble(sim, 64, [17])
-        assert np.allclose(gain * phys.amplitudes, drive_modes.amplitudes,
-                           rtol=1e-10, atol=0.0)
-        assert np.array_equal(phys.phases, drive_modes.phases)
+        assert np.allclose(sed_psd(dc.epsilon, w), dc.epsilon * w**3 / math.pi,
+                           rtol=1e-15, atol=0.0)
+        drive_modes = synthesize_ensemble(dc.epsilon, BAND, 64, [17])
+        phys = np.sqrt(2.0 * field_psd(drive_modes.omegas) * drive_modes.d_omega)
+        assert np.allclose(gain * phys, drive_modes.amplitudes, rtol=1e-10, atol=0.0)
 
 
 class TestModeSetInvariants:
