@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, NumericalInstabilityError
 from .scenarios import SCENARIO_NAMES, run_scenario, validate_config
 
@@ -63,7 +65,9 @@ def main(argv: list[str] | None = None) -> int:
             raw["seed"] = args.seed
         scenario = validate_config(raw)
         _make_out_dir(args.out)
-        run_scenario(scenario, args.out)
+        # overflow is refused with one message; numpy's warnings would precede it
+        with np.errstate(all="ignore"):
+            run_scenario(scenario, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

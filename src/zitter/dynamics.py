@@ -19,13 +19,13 @@ the perturbative pair -eps/2 +- i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import FundamentalConstants
 from .errors import NumericalInstabilityError
-from .zpf import ModeEnsemble, _fft_len, _write_csv
+from .zpf import ModeEnsemble, _fft_len, _unit_phasors, _write_csv
 
 #: coarsest admissible step: 40 steps per carrier period
 MAX_DT = 2.0 * math.pi / 40.0
@@ -337,11 +337,12 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     as hi + lo, so that arg lam -+ hi is exact near resonance, where it is
     small, and the phase of q^n does not drift by n times a rounding error.
 
-    The realizations go in groups of at most ``_STREAM_GROUP`` rows and
-    ``_STREAM_BUDGET`` FFT values; a group's coefficients are formed from
-    its rows of the phases, and its b and B share one reused buffer, so the
-    run holds no (R, K) array beyond the phases. Neither cost nor memory
-    grows with the run's length.
+    c = a e^{i phi}, and the weights a = A (1 + i eps w) are folded once into
+    the vectors the phasors meet. The realizations go in groups of at most
+    ``_STREAM_GROUP`` rows and ``_STREAM_BUDGET`` FFT values; a group's
+    phasors are written into one reused FFT buffer, scaled there to b and
+    transformed to B, so the run holds no (R, K) array beyond the phases.
+    Neither cost nor memory grows with the run's length.
     """
     _check_epsilon(epsilon)
     n_steps = step_count(dt, t_max)
@@ -357,6 +358,7 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
 
     omegas, w0, d_omega = drives.omegas, drives.band[0], drives.d_omega
     n_real, n_modes = drives.phases.shape
+    weights = drives.weights(epsilon)
     gain, p, p_neg = _transfer(lam, vec, to_mode, dt, omegas)
     n_fft = _fft_len(2 * n_modes - 1)
     x_kernel, y_kernel = _form_kernels(dt, w0, d_omega, n_fft, first, count)
@@ -368,10 +370,12 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     hi, e_s = _two_sum(p0, q)
     lo = e_s + e_q + e0 + k * e1
     log_lam = np.log(lam)
+    w_gain = weights * gain
     cross_modes = np.stack(
-        (gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
-         gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
+        (w_gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
+         w_gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
         axis=1)
+    w_p, w_p_neg = weights * p, weights * np.conj(p_neg)
     free_abs2 = _geometric_sum(2.0 * log_lam.real, first, count).real
     free_sq = _geometric_sum(2.0 * log_lam, first, count)
 
@@ -380,17 +384,17 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     buf = np.empty((min(group, n_real), n_fft), dtype=complex)
     for start in range(0, n_real, group):
         rows = slice(start, start + group)
-        coeff = replace(drives, phases=drives.phases[rows]).coefficients(epsilon)
-        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no temporary of coeff's size
-        steady0 = 0.5 * (coeff @ p + np.conj(coeff @ np.conj(p_neg)))
+        b = buf[:min(group, n_real - start)]
+        phasors = _unit_phasors(drives.phases[rows], b[:, :n_modes])
+        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no temporary of the group's size
+        steady0 = 0.5 * (phasors @ w_p + np.conj(phasors @ w_p_neg))
         # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on
         free = -lam * steady0
         phi = 2.0 * free * vec[0] / lam
-        cross = coeff @ cross_modes
+        cross = phasors @ cross_modes
         sums[rows] = ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
                       + 0.5 * (np.abs(phi) ** 2 * free_abs2 + (phi**2 * free_sq).real))
-        b = buf[:len(coeff)]
-        np.multiply(coeff, gain, out=b[:, :n_modes])
+        phasors *= w_gain
         b[:, n_modes:] = 0.0
         np.fft.fft(b, axis=-1, out=b)
         sums[rows] += 0.5 * (np.einsum("ij,ij,j->i", b.real, b.real, x_kernel)

@@ -27,10 +27,6 @@ PSD_CSV_HEADER = "omega,psd"
 #: most rows in one of the chunks ``_write_csv`` formats
 _CSV_CHUNK = 4096
 
-#: values of the scratch ``ModeEnsemble.coefficients`` forms a block of rows
-#: in (256 KB): the tangents and the scaled 1 / (1 + t^2), half each
-_SCRATCH = 2**15
-
 
 def sed_psd(epsilon: float, omega) -> np.ndarray:
     """Zero-point drive spectrum in simulation units: S(W) = epsilon W^3 / pi.
@@ -98,45 +94,40 @@ class ModeEnsemble:
         """Recurrence time 2*pi / d_omega; statistics are invalid beyond it."""
         return 2.0 * math.pi / self.d_omega
 
+    def weights(self, epsilon: float = 0.0) -> np.ndarray:
+        """A (1 + i eps w), shape (K,): a mode of E + eps*E' is Re of it times e^{i (w t + phi)}."""
+        return self.amplitudes * (1.0 + 1j * epsilon * self.omegas)
+
     def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
         """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
 
-        A mode of E + eps*E' is one cosine,
-        A sqrt(1 + (eps w)^2) cos(w t + phi + atan(eps w)), so
-        c = A sqrt(1 + (eps w)^2) e^{i theta} with theta = phi + atan(eps w);
-        at eps = 0 it is A e^{i phi}. The phasor comes from one tangent of
-        the half angle, t = tan(theta / 2), as
-        e^{i theta} = ((1 - t^2) + 2 i t) / (1 + t^2): numpy's float64 ``tan``
-        is a SIMD loop where its ``sin`` and ``cos`` may each be a scalar libm
-        call. Rows are taken in blocks through one reused scratch of
-        ``_SCRATCH`` values, or of two rows when a row holds more than half
-        that, and the real and imaginary parts are written straight into the
-        result, so nothing else of size (R, K) is formed.
+        c = ``weights(epsilon)`` e^{i phi}; at eps = 0 it is A e^{i phi}.
         """
-        n_modes = self.phases.shape[1]
-        omegas = self.omegas
-        scale = self.amplitudes * np.sqrt(1.0 + (epsilon * omegas) ** 2)
-        shift = np.arctan(epsilon * omegas)
-        c = np.empty(self.phases.shape, dtype=complex)
-        rows = max(1, _SCRATCH // (2 * n_modes))
-        scratch = np.empty((2, rows * n_modes))
-        for start in range(0, len(c), rows):
-            block = slice(start, start + rows)
-            phases = self.phases[block]
-            t, q = (half[:phases.size].reshape(phases.shape) for half in scratch)
-            np.add(phases, shift, out=t)
-            t *= 0.5
-            np.tan(t, out=t)
-            np.multiply(t, t, out=q)
-            q += 1.0
-            np.divide(scale, q, out=q)  # A sqrt(1 + (eps w)^2) / (1 + t^2)
-            im = c.imag[block]
-            np.multiply(q, t, out=im)
-            im += im
-            np.multiply(t, t, out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(q, t, out=c.real[block])
+        c = _unit_phasors(self.phases, np.empty(self.phases.shape, dtype=complex))
+        c *= self.weights(epsilon)
         return c
+
+
+def _unit_phasors(phases: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write e^{i phi} for the real ``phases`` into the complex ``out`` of their shape; return it.
+
+    The phasor comes from one tangent of the half angle, t = tan(phi / 2), as
+    e^{i phi} = ((1 - t^2) + 2 i t) / (1 + t^2) = (2 / q - 1) + i 2 t / q with
+    q = 1 + t^2: numpy's float64 ``tan`` is a SIMD loop where its ``sin`` and
+    ``cos`` may each be a scalar libm call. Only the real and imaginary parts
+    of ``out``, which may be a strided view, are written, so nothing else of
+    the phases' size is formed.
+    """
+    re, im = out.real, out.imag
+    np.multiply(phases, 0.5, out=im)
+    np.tan(im, out=im)
+    np.multiply(im, im, out=re)
+    re += 1.0
+    np.divide(im, re, out=im)
+    im += im
+    np.divide(2.0, re, out=re)
+    re -= 1.0
+    return out
 
 
 def child_seeds(master_seed: int, n: int) -> list[int]:

@@ -5,7 +5,7 @@ draws JSON-like values of every type, including integers far past the double
 range, NaN, infinities, subnormals and nested lists; for admission, values
 across the range validation admits. Neither runs anything. The command line
 runs generated configs in child processes, each either admitted and cheap or
-refused, and is held to its exit-code contract.
+refused, and is held to its exit-code and stderr contract.
 """
 
 import json
@@ -171,6 +171,12 @@ def test_cli_exits_0_2_or_3_and_refusals_write_nothing(data, dc):
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 2, 3), proc.stderr
         assert not refused or proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        if proc.returncode != 0:
+        # success is silent; a refusal or a failure is one line of message, no
+        # traceback or warning, and writes nothing
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+        else:
+            prefix = "config error:" if proc.returncode == 2 else "numerical failure"
+            assert proc.stderr.startswith(prefix), proc.stderr
+            assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
             assert not out.exists() or not any(out.iterdir()), proc.stderr

@@ -200,6 +200,28 @@ class TestStreamedStatistic:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 10**6
 
+    def test_repeated_call_holds_the_group_buffer_and_vectors(self):
+        # the benchmark's stationary config: eps 0.05, R = 100, K = 2000, to
+        # t_max 13 / eps after 3 / eps of burn-in. A repeated call holds the
+        # FFT buffer of 16 bytes a value, 32 rows of n_fft = 4,000, and 256
+        # bytes per FFT value for the kernels and the vectors of K values:
+        # 3.07 MB. The phasors are written into that buffer, so no group's
+        # (rows, K) coefficients are formed
+        import tracemalloc
+
+        eps, n_modes = 0.05, 2000
+        drives = synthesize_ensemble(eps, BAND, n_modes, range(100))
+        n_fft, group = zpf._fft_len(2 * n_modes - 1), dynamics._STREAM_GROUP
+        assert (n_fft, dynamics._STREAM_BUDGET // n_fft) == (4000, group)
+        dynamics.stationary_mean_z2(eps, drives, DT, 13.0 / eps, 3.0 / 13.0)
+        tracemalloc.start()
+        try:
+            dynamics.stationary_mean_z2(eps, drives, DT, 13.0 / eps, 3.0 / 13.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * group * n_fft + 256 * n_fft
+
     def test_discard_fraction_guard(self):
         drives = synthesize_ensemble(0.02, BAND, 64, [1, 2])
         with pytest.raises(ValueError, match="discard"):
