@@ -149,22 +149,26 @@ def _rk4_map(epsilon: float, dt: float) -> tuple[complex, np.ndarray, np.ndarray
 
     The equation is linear with constant coefficients, so one RK4 step is
     the exact affine map x_{n+1} = M x_n + N (g(t_n), g(t_n + h/2), g(t_n + h))
-    on x = (z, z'), read off by stepping the 5x5 identity. M is real with the
-    conjugate eigenpair (lam, conj lam) for any stable dt <= MAX_DT, so in its
-    eigenbasis the step is one complex first-order recurrence,
+    on x = (z, z'), read off by stepping the 5x5 identity. M = [[a, b], [c, d]]
+    is real with the conjugate eigenpair (lam, conj lam) for any stable
+    dt <= MAX_DT, by formula lam = (a + d)/2 + i sqrt(-bc - ((a - d)/2)^2)
+    with vec = (b, lam - a) (Hairer, Norsett & Wanner, Solving ODEs I), so in
+    its eigenbasis the step is one complex first-order recurrence,
     y_{n+1} = lam y_n + w.(g(t_n), g(t_n + h/2), g(t_n + h)), and
     x = 2 Re(vec y). Returns lam, vec and ``to_mode``, the mode's row of
-    V^-1 [M | N]: (to_mode[:2].x_n, to_mode[2:]) = (lam y_n, w).
+    [vec, conj vec]^-1 [M | N]: (to_mode[:2].x_n, to_mode[2:]) = (lam y_n, w).
     """
-    z_row, v_row = _rk4_step(epsilon, dt, *np.eye(5))
-    step = np.stack([z_row, v_row])  # [M | N]
-    lams, vecs = np.linalg.eig(step[:, :2])
-    if not np.all(np.abs(lams) < 1.0):
+    z_row, v_row = _rk4_step(epsilon, dt, *np.eye(5))  # [M | N]
+    (a, b), (c, d) = z_row[:2], v_row[:2]
+    det = a * d - b * c  # |lam|^2
+    if not det < 1.0:
         raise NumericalInstabilityError(
             f"RK4 with dt={dt:.6g} is unstable for epsilon={epsilon:.6g}: the "
-            f"one-step map has eigenvalue modulus {np.max(np.abs(lams)):.6g} >= 1"
+            f"one-step map has eigenvalue modulus {math.sqrt(det):.6g} >= 1"
         )
-    return lams[0], vecs[:, 0], np.linalg.inv(vecs)[0] @ step
+    lam = complex(0.5 * (a + d), math.sqrt(-b * c - (0.5 * (a - d)) ** 2))
+    to_mode = ((lam.conjugate() - a) * z_row - b * v_row) / (-2j * b * lam.imag)
+    return lam, np.array([b, lam - a]), to_mode
 
 
 def _rk4(epsilon: float, z0: float, v0: float, dt: float,
@@ -239,29 +243,10 @@ def first_kept_sample(discard: float, n_samples: int) -> int:
     return int(discard * n_samples)
 
 
-def _dirichlet(theta: np.ndarray, first: int, count: int) -> np.ndarray:
-    """sum_{n=first}^{first+count-1} e^{i theta n} for real theta, elementwise.
-
-    As e^{i theta (first + last) / 2} sin(theta count / 2) / sin(theta / 2),
-    and count at theta = 0.
-    """
-    out = np.empty(theta.shape, dtype=complex)
-    np.multiply(theta, first + 0.5 * (count - 1), out=out.imag)
-    np.cos(out.imag, out=out.real)
-    np.sin(out.imag, out=out.imag)
-    half = 0.5 * theta
-    ratio = np.sin(count * half)
-    np.sin(half, out=half)
-    np.divide(ratio, half, out=ratio, where=half != 0.0)
-    ratio[half == 0.0] = count
-    out *= ratio
-    return out
-
-
 def _geometric_sum(log_q: np.ndarray, first: int, count: int) -> np.ndarray:
-    """sum_{n=first}^{first+count-1} q^n for q = e^{log_q}, Re log_q < 0, elementwise.
+    """sum_{n=first}^{first+count-1} q^n for q = e^{log_q} != 1, |q| <= 1, elementwise.
 
-    Through expm1, so it keeps its accuracy as |q| -> 1.
+    Through expm1, so it keeps its accuracy as q -> 1, on the unit circle too.
     """
     return np.exp(first * log_q) * np.expm1(count * log_q) / np.expm1(log_q)
 
@@ -293,10 +278,11 @@ def _form_kernels(h: float, w0: float, d_omega: float, n_fft: int, first: int,
     theta = np.arange(n_fft, dtype=float)
     theta[n_fft // 2 + 1:] -= n_fft
     theta *= h * d_omega
-    kernel = _dirichlet(theta, first, count)
+    kernel = np.full(n_fft, count, dtype=complex)  # D(0) = count
+    kernel[1:] = _geometric_sum(1j * theta[1:], first, count)
     x_kernel = np.fft.ifft(kernel, out=kernel).real.copy()
     theta = h * (2.0 * w0 + d_omega * np.arange(n_fft))
-    y_kernel = _dirichlet(theta, first, count)
+    y_kernel = _geometric_sum(1j * theta, first, count)
     np.fft.ifft(y_kernel, out=y_kernel)
     return x_kernel, y_kernel
 
@@ -312,8 +298,8 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     T_n = S_n + F_n: the steady mode sum S_n = sum_k b_k e^{i w_k h n},
     b = c H_d with c the coefficients of D + eps*D' and H_d RK4's transfer
     function, and the free mode F_n = phi lam^n that starts the run at rest,
-    phi = 2 f vec_0 / lam with f = -lam y_p(0) and y_p(0) the steady
-    solution's mode at t = 0. Then
+    phi = -2 vec_0 y_p(0) with y_p(0) the steady solution's mode at t = 0.
+    Then
     sum_n z_n^2 = (sum_n |T_n|^2 + Re sum_n T_n^2) / 2.
 
     On the grid w_k = w_0 + k dw the terms in S alone are a Toeplitz and a
@@ -338,10 +324,13 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     small, and the phase of q^n does not drift by n times a rounding error.
 
     c = a e^{i phi}, and the weights a = A (1 + i eps w) are folded once into
-    the vectors the phasors meet. The realizations go in groups of at most
-    ``_STREAM_GROUP`` rows and ``_STREAM_BUDGET`` FFT values; a group's
-    phasors are written into one reused FFT buffer, scaled there to b and
-    transformed to B, so the run holds no (R, K) array beyond the phases.
+    the vectors the phasors x = e^{i phi} meet. phi and the cross sums are
+    each x.u + conj(x.v), real-linear in x's real view, so one fixed-order
+    einsum with a (4, 2K) real matrix gives both, calling no BLAS kernel.
+    The realizations go in groups of at most ``_STREAM_GROUP`` rows and
+    ``_STREAM_BUDGET`` FFT values; a group's phasors are written into one
+    reused FFT buffer, reduced, scaled there to b and transformed to B, so
+    the run holds no (R, K) array beyond the phases.
     Neither cost nor memory grows with the run's length.
     """
     _check_epsilon(epsilon)
@@ -371,11 +360,15 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
     lo = e_s + e_q + e0 + k * e1
     log_lam = np.log(lam)
     w_gain = weights * gain
-    cross_modes = np.stack(
-        (w_gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count),
-         w_gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))),
-        axis=1)
-    w_p, w_p_neg = weights * p, weights * np.conj(p_neg)
+    # phi = -2 vec_0 y_p(0), y_p(0) = (x.(a p) + conj(x.(a conj p_neg))) / 2 and vec_0 = b
+    # real, and the cross sum are each x.u + conj(x.v); its real and imaginary parts
+    # are x's real view dotted with conj(u + v) and i conj(u - v) viewed as real
+    u = np.array([-vec[0] * weights * p,
+                  w_gain * _geometric_sum(log_lam + 1j * hi + 1j * lo, first, count)])
+    v = np.array([-vec[0] * weights * np.conj(p_neg),
+                  w_gain * np.conj(_geometric_sum(log_lam - 1j * hi - 1j * lo, first, count))])
+    reduce_rows = np.stack((np.conj(u + v), 1j * np.conj(u - v)), axis=1)
+    reduce_rows = reduce_rows.reshape(4, n_modes).view(float)
     free_abs2 = _geometric_sum(2.0 * log_lam.real, first, count).real
     free_sq = _geometric_sum(2.0 * log_lam, first, count)
 
@@ -386,13 +379,8 @@ def stationary_mean_z2(epsilon: float, drives: ModeEnsemble, dt: float, t_max: f
         rows = slice(start, start + group)
         b = buf[:min(group, n_real - start)]
         phasors = _unit_phasors(drives.phases[rows], b[:, :n_modes])
-        # sum_k (p_k c_k + p_neg_k conj c_k) / 2, with no temporary of the group's size
-        steady0 = 0.5 * (phasors @ w_p + np.conj(phasors @ w_p_neg))
-        # f = lam (y_0 - y_p(0)) at rest, y_0 = 0: the free mode one step on
-        free = -lam * steady0
-        phi = 2.0 * free * vec[0] / lam
-        cross = phasors @ cross_modes
-        sums[rows] = ((phi * (cross[:, 0] + np.conj(cross[:, 1]))).real
+        phi, cross = np.einsum("ij,kj->ik", phasors.view(float), reduce_rows).view(complex).T
+        sums[rows] = ((phi * cross).real
                       + 0.5 * (np.abs(phi) ** 2 * free_abs2 + (phi**2 * free_sq).real))
         phasors *= w_gain
         b[:, n_modes:] = 0.0

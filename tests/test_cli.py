@@ -10,7 +10,7 @@ import pytest
 from zitter import zpf
 from zitter.cli import main
 from zitter.dynamics import DiracFreeParticle, dirac_velocity
-from zitter.scenarios import Scenario, run_scenario, validate_config
+from zitter.scenarios import SCENARIO_NAMES, Scenario, run_scenario, validate_config
 
 
 def read_json(path):
@@ -186,7 +186,7 @@ class TestScenarioRuns:
         assert peak <= 64 * 10**6
 
     @pytest.mark.parametrize("config, expected", [
-        ({"scenario": "stationary"}, 0.501753334156327),
+        ({"scenario": "stationary"}, 0.5017533341570463),
         (json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
                      / "stationary.json").read_text()), 0.45068234054330625),
     ], ids=["default", "perfbench"])
@@ -294,6 +294,48 @@ class TestReproducibility:
         assert rc == 0
         for name in ("trajectory.csv", "fit.json", "manifest.json"):
             assert read_bytes(first / name) == read_bytes(second / name), name
+
+    def test_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # a DYNAMIC_ARCH OpenBLAS picks its kernels by CPU at run time, and
+        # OPENBLAS_CORETYPE forces one in its own process: a child under each
+        # kernel writes every default scenario and the bench's stationary
+        # config, byte for byte as this process does
+        import subprocess
+        import sys
+
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        simd = config["SIMD Extensions"]
+        if ("openblas" not in blas["name"].lower()
+                or "DYNAMIC_ARCH" not in blas.get("openblas configuration", "")):
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+        if not {"X86_V3", "AVX2"} & {*simd["baseline"], *simd["found"]}:
+            pytest.skip("the Haswell kernel needs AVX2")
+        repo = Path(__file__).resolve().parents[1]
+        configs = [{"scenario": name} for name in SCENARIO_NAMES]
+        configs.append(json.loads((repo / "perfbench" / "configs" / "stationary.json")
+                                  .read_text()))
+        code = ("import sys\n"
+                "from zitter.scenarios import run_scenario, validate_config\n"
+                f"for i, config in enumerate({configs!r}):\n"
+                "    run_scenario(validate_config(dict(config, seed=1)),\n"
+                "                 f'{sys.argv[1]}/{i}')\n")
+        here = tmp_path / "here"
+        for i, config in enumerate(configs):
+            run_scenario(validate_config(dict(config, seed=1)), str(here / str(i)))
+        files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+        for coretype in ("Prescott", "Haswell", "Sandybridge"):
+            out = tmp_path / coretype
+            done = subprocess.run([sys.executable, "-c", code, str(out)],
+                                  env=dict(env, OPENBLAS_CORETYPE=coretype),
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+            for name in files:
+                assert read_bytes(out / name) == read_bytes(here / name), (coretype, name)
 
     def test_manifest_is_valid_config(self, tmp_path):
         rc = main(["run", "--scenario", "roots", "--out", str(tmp_path)])

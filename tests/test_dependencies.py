@@ -59,3 +59,39 @@ def test_test_extra_lists_what_the_suite_imports():
     foreign = imported - RUNTIME_PACKAGES - NEWER_STDLIB - set(sys.stdlib_module_names)
     assert {"hypothesis", "pytest", "scipy"} <= foreign  # the parse finds the suite's imports
     assert foreign <= listed
+
+
+#: numpy names that reach BLAS or LAPACK, whose kernels a DYNAMIC_ARCH build
+#: picks by CPU at run time, so their bits may differ between hosts
+BLAS_NAMES = {"linalg", "dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def blas_uses(source):
+    """Line and text of each ``@``, ``numpy.linalg`` or BLAS product in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [f"{node.module}.{alias.name}" for alias in node.names])
+            found.extend((node.lineno, m) for m in modules
+                         if m.split(".")[0] == "numpy" and set(m.split(".")) & BLAS_NAMES)
+    return found
+
+
+def test_blas_guard_sees_each_form():
+    source = ("import numpy.linalg\nfrom numpy import dot\nfrom numpy.linalg import eig\n"
+              "a @ b\na @= b\nnp.linalg.inv(a)\nnp.matmul(a, b)\na.dot(b)\n"
+              "np.vdot(a, b)\nnp.inner(a, b)\nnp.tensordot(a, b)\nnp.einsum('ij,j', a, b)\n")
+    assert sorted(line for line, _ in blas_uses(source)) == list(range(1, 12))
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "zitter").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_source_calls_no_blas(path):
+    # the cross-kernel replay in test_cli skips on hosts without a
+    # DYNAMIC_ARCH OpenBLAS; this keeps a BLAS call from returning unseen there
+    assert blas_uses(path.read_text(encoding="utf-8")) == []

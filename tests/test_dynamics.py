@@ -338,6 +338,53 @@ class TestIntegratorOracle:
         assert np.max(np.abs(traj.zdot - ref_v[0])) <= 1e-10
 
 
+class TestEigenpair:
+    """RK4's eigenpair by formula against the map it is taken from."""
+
+    # 2 ulp of 1; on x86-64 the checks read at most 1.1e-16 and 2.2e-16
+    TOL = 2.0 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("dt", [2.0 * math.pi / 2000, DT, MAX_DT])
+    @pytest.mark.parametrize("eps", [1e-6, EPS_CODATA, 0.05, 0.099])
+    def test_vieta_relations(self, eps, dt):
+        # trace and determinant of M = [[a, b], [c, d]] in long double
+        lam = dynamics._rk4_map(eps, dt)[0]
+        z_row, v_row = dynamics._rk4_step(eps, dt, *np.eye(5))
+        (a, b), (c, d) = z_row[:2].astype(np.longdouble), v_row[:2].astype(np.longdouble)
+        re, im = np.longdouble(lam.real), np.longdouble(lam.imag)
+        assert im > 0.0
+        assert abs(2.0 * re - (a + d)) <= self.TOL
+        assert abs(re * re + im * im - (a * d - b * c)) <= self.TOL
+
+    @pytest.mark.parametrize("dt", [2.0 * math.pi / 2000, DT, MAX_DT])
+    @pytest.mark.parametrize("eps", [1e-6, EPS_CODATA, 0.05, 0.099])
+    def test_eigenbasis_reconstructs_the_step(self, eps, dt):
+        # x = 2 Re(vec y) and y's row to_mode give back [M | N]
+        _, vec, to_mode = dynamics._rk4_map(eps, dt)
+        step = np.stack(dynamics._rk4_step(eps, dt, *np.eye(5)))
+        assert np.max(np.abs(2.0 * np.multiply.outer(vec, to_mode).real - step)) <= self.TOL
+
+
+class TestGeometricSum:
+    """``_geometric_sum`` on the unit circle, where the stationary kernels use it."""
+
+    @pytest.mark.parametrize("first, count", [(0, 1), (0, 7), (3, 2), (40, 100), (1000, 64)])
+    def test_matches_direct_sum(self, first, count):
+        theta = np.array([0.3, -0.3, 1e-5, -1.3e-5, 2.0, -3.0])
+        got = dynamics._geometric_sum(1j * theta, first, count)
+        phase = np.multiply.outer(theta.astype(np.longdouble),
+                                  np.arange(first, first + count, dtype=np.longdouble))
+        direct = np.cos(phase).sum(axis=1) + 1j * np.sin(phase).sum(axis=1)
+        assert np.all(np.abs(got - direct) <= 4.0 * np.spacing(1.0) * count)
+
+    def test_kernel_at_zero_offset_is_count(self):
+        # the inverse FFT X of D on its circular offsets is finite, and sums to D(0)
+        first, count, n_fft = 400, 601, 64
+        x_kernel, y_kernel = dynamics._form_kernels(DT, 0.8, 0.4 / 31, n_fft, first, count)
+        assert np.all(np.isfinite(x_kernel)) and np.all(np.isfinite(y_kernel))
+        assert np.fft.fft(x_kernel)[0].real == pytest.approx(count, rel=1e-14)
+
+
 class TestGuards:
     @pytest.mark.parametrize("bad_dt", [0.0, -0.1, MAX_DT * 1.01, 1.0])
     def test_dt_guard(self, bad_dt):
