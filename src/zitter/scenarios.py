@@ -19,11 +19,6 @@ import numpy as np
 from . import analysis, constants, dynamics, zpf
 from .errors import ConfigError, NumericalInstabilityError
 
-SCENARIO_NAMES = (
-    "constants", "roots", "transient", "stationary", "dirac",
-    "sweep-epsilon", "psd-check",
-)
-
 _DEFAULT_DT = 2.0 * math.pi / 200.0
 
 #: most bytes held, bytes written and microseconds of work that ``_cost`` admits
@@ -575,7 +570,7 @@ def _run_psd_check(sc, out, fc, dc, params):
                           "realization (one period at a step of at most sample_dt)")
     fields = zpf.synthesize_ensemble(eps, band, params["n_modes"],
                                      zpf.child_seeds(sc.seed, params["n_realizations"]))
-    h, series = zpf.period_sum(band, fields.coefficients(), n)
+    h, series = zpf.period_sum(fields, n)
 
     psd_sum = None
     parseval_errs = []
@@ -613,6 +608,8 @@ _RUNNERS = {
     "sweep-epsilon": _run_sweep,
     "psd-check": _run_psd_check,
 }
+
+SCENARIO_NAMES = tuple(_RUNNERS)
 
 
 def run_scenario(sc: Scenario, out_dir: str) -> dict:

@@ -94,18 +94,9 @@ class ModeEnsemble:
         """Recurrence time 2*pi / d_omega; statistics are invalid beyond it."""
         return 2.0 * math.pi / self.d_omega
 
-    def weights(self, epsilon: float = 0.0) -> np.ndarray:
+    def weights(self, epsilon: float) -> np.ndarray:
         """A (1 + i eps w), shape (K,): a mode of E + eps*E' is Re of it times e^{i (w t + phi)}."""
         return self.amplitudes * (1.0 + 1j * epsilon * self.omegas)
-
-    def coefficients(self, epsilon: float = 0.0) -> np.ndarray:
-        """Complex coefficients of E + eps*E', shape (R, K): each mode is Re c_k e^{i w_k t}.
-
-        c = ``weights(epsilon)`` e^{i phi}; at eps = 0 it is A e^{i phi}.
-        """
-        c = _unit_phasors(self.phases, np.empty(self.phases.shape, dtype=complex))
-        c *= self.weights(epsilon)
-        return c
 
 
 def _unit_phasors(phases: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -176,27 +167,28 @@ def _fft_len(n: int) -> int:
         n += 1
 
 
-def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Re sum_k c_k e^{i w_k h j} at the n times h j, j < n, of one period 2 pi / d_omega.
+def period_sum(drives: ModeEnsemble, n: int) -> tuple[float, np.ndarray]:
+    """E = Re sum_k A_k e^{i (w_k h j + phi_k)} of each realization at the n times h j, j < n.
 
-    The w_k = w_0 + k d_omega are the K >= 2 modes of ``band``, d_omega =
-    ``mode_step(band, K)``, and K is the length of a row of the complex,
-    realization-major ``coeff`` (R, K). Returns the step h = 2 pi / (d_omega n)
-    and the sums, shape (R, n).
+    The times span one period 2 pi / d_omega of the K >= 2 modes w_k = w_0 +
+    k d_omega of ``drives``. Returns the step h = 2 pi / (d_omega n) and the
+    sums, shape (R, n).
 
     On that grid w_k h j = w_0 h j + 2 pi k j / n, so a row's sums are
-    Re e^{i w_0 h j} (n ifft(c, n))_j (Cooley & Tukey 1965): one inverse FFT
-    of length n >= K per row into a reused buffer, times a ramp built once as
-    the s x s products of its values at j = a s and at j = b, s^2 >= n. Each
+    Re e^{i w_0 h j} (n ifft(c, n))_j with c = A e^{i phi} (Cooley & Tukey
+    1965): per row, ``_unit_phasors`` writes e^{i phi} into a reused buffer of
+    length n >= K, where it is scaled by A and inverse transformed, times a
+    ramp built once as the s x s products of its values at j = a s and at
+    j = b, s^2 >= n. So the run holds no (R, K) array beyond the phases. Each
     phase w_0 h j is reduced modulo 2 pi before it is rounded: w_0 =
     (m + f) d_omega with integer m and fmod's exact remainder f d_omega.
     """
-    lo = band[0]
-    n_modes = coeff.shape[1]
+    lo = drives.band[0]
+    n_modes = len(drives.amplitudes)
     if n < n_modes:
         # ifft(c, n) would drop the modes past the n-th
         raise ValueError(f"a period of n = {n} samples cannot hold {n_modes} modes")
-    d_omega = mode_step(band, n_modes)
+    d_omega = drives.d_omega
     rest = math.fmod(lo, d_omega)
     whole, frac = round((lo - rest) / d_omega) % n, rest / d_omega
     s = math.isqrt(n - 1) + 1
@@ -205,9 +197,10 @@ def period_sum(band, coeff: np.ndarray, n: int) -> tuple[float, np.ndarray]:
                   for j in (s * np.arange(s)[:, None], np.arange(s)))
     np.multiply(by_a, by_b, out=ramp)
     ramp, buf = ramp.reshape(-1)[:n], buf.reshape(-1)[:n]
-    out = np.empty((len(coeff), n))
-    for row, c in zip(out, coeff):
-        buf[:n_modes] = c
+    out = np.empty((len(drives.phases), n))
+    for row, phases in zip(out, drives.phases):
+        c = _unit_phasors(phases, buf[:n_modes])
+        c *= drives.amplitudes
         buf[n_modes:] = 0.0
         np.fft.ifft(buf, norm="forward", out=buf)
         buf *= ramp

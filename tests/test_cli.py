@@ -33,8 +33,12 @@ class TestConfigValidation:
 
     def test_unknown_scenario_rejected(self):
         from zitter.errors import ConfigError
-        with pytest.raises(ConfigError, match="scenario"):
+        # the names in the order the CLI lists them
+        names = ("['constants', 'roots', 'transient', 'stationary', 'dirac', "
+                 "'sweep-epsilon', 'psd-check']")
+        with pytest.raises(ConfigError) as err:
             validate_config({"scenario": "warp-drive"})
+        assert str(err.value) == f"unknown scenario 'warp-drive'; expected one of {names}"
 
     def test_unknown_parameter_rejected(self):
         from zitter.errors import ConfigError
@@ -185,16 +189,20 @@ class TestScenarioRuns:
             tracemalloc.stop()
         assert peak <= 64 * 10**6
 
-    @pytest.mark.parametrize("config, expected", [
-        ({"scenario": "stationary"}, 0.5017533341570463),
+    @pytest.mark.parametrize("config, file, key, expected", [
+        ({"scenario": "stationary"}, "ensemble.json", "mean_z2", 0.5017533341570463),
         (json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs"
-                     / "stationary.json").read_text()), 0.45068234054330625),
-    ], ids=["default", "perfbench"])
-    def test_stationary_result_pinned(self, tmp_path, config, expected):
+                     / "stationary.json").read_text()),
+         "ensemble.json", "mean_z2", 0.45068234054330625),
+        ({"scenario": "psd-check"}, "psd_check.json", "in_band_rms_rel_dev",
+         0.00814133909048063),
+        ({"scenario": "transient"}, "fit.json", "decay_rate", 0.0024324448075240357),
+        ({"scenario": "sweep-epsilon"}, "regression.json", "slope", 0.4999986892074319),
+    ], ids=["default", "perfbench", "psd-check", "transient", "sweep-epsilon"])
+    def test_stationary_result_pinned(self, tmp_path, config, file, key, expected):
         # catches numeric drift that a rerun of the same tree cannot
-        sc = validate_config(dict(config, seed=1))
-        assert run_scenario(sc, str(tmp_path))["mean_z2"] == pytest.approx(
-            expected, rel=1e-12, abs=0.0)
+        run_scenario(validate_config(dict(config, seed=1)), str(tmp_path))
+        assert read_json(tmp_path / file)[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_stationary_coefficient_footprint(self, tmp_path, dc):
         # a run with many modes holds every realization's phases, no more

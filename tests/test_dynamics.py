@@ -293,7 +293,7 @@ def closed_form_z(epsilon, drives, dt, n_steps):
     """
     lam, vec, to_mode = dynamics._rk4_map(epsilon, dt)
     h_d, p, p_neg = dynamics._transfer(lam, vec, to_mode, dt, drives.omegas)
-    coeff = drives.coefficients(epsilon)
+    coeff = drives.weights(epsilon) * np.exp(1j * drives.phases)
     steady0 = 0.5 * (coeff @ p + np.conj(coeff @ np.conj(p_neg)))  # y_p(0)
     n = np.arange(n_steps + 1)
     weights = coeff * h_d

@@ -25,7 +25,7 @@ GRID_BANDS = [(0.8, 1.2), (0.3, 0.30000001), (1.0, 7.25), (0.03, 0.32)]
 
 def drive(ens, h, n_times, epsilon=0.0):
     """E + eps*E' of a one-row ensemble at the times h n, summed directly 2,000 times at once."""
-    c, times = ens.coefficients(epsilon)[0], h * np.arange(n_times)
+    c, times = ens.weights(epsilon) * np.exp(1j * ens.phases[0]), h * np.arange(n_times)
     out = np.empty(n_times)
     for start in range(0, n_times, 2000):
         t = times[start:start + 2000]
@@ -35,7 +35,7 @@ def drive(ens, h, n_times, epsilon=0.0):
 
 def period_drive(ens, dt):
     """E of a one-row ensemble over one period at period_sum's step h <= dt, and h."""
-    h, e = period_sum(ens.band, ens.coefficients(), math.ceil(ens.t_rec / dt))
+    h, e = period_sum(ens, math.ceil(ens.t_rec / dt))
     return h, e[0]
 
 
@@ -52,8 +52,9 @@ class TestSynthesis:
     def test_zero_spectrum_gives_zero_field(self):
         ms = dataclasses.replace(synthesize_ensemble(EPS_CODATA, BAND, 64, [3]),
                                  amplitudes=np.zeros(64))
-        assert np.all(ms.coefficients(0.09) == 0.0)
+        assert np.all(ms.weights(0.09) == 0.0)
         assert np.all(drive(ms, ms.t_rec * 0.9 / 99, 100) == 0.0)
+        assert np.all(period_sum(ms, 64)[1] == 0.0)
 
     def test_same_seed_is_bit_identical(self):
         a = synthesize_ensemble(EPS_CODATA, BAND, 128, [99])
@@ -163,38 +164,42 @@ class TestEnsemble:
         assert np.max(np.abs(ens.amplitudes / target - 1.0)) <= 4 * 2**-52
 
     @pytest.mark.parametrize("epsilon", [0.0, EPS_CODATA, 0.09])
-    def test_coefficients_mode_by_mode(self, epsilon):
+    def test_weights_mode_by_mode(self, epsilon):
         ens = zpf.synthesize_ensemble(EPS_CODATA, BAND, 64, child_seeds(5, 3))
-        c = ens.coefficients(epsilon)
-        assert c.shape == (3, 64) and c.dtype == complex
-        for r in range(3):
-            for k in range(64):
-                a, w, phi = ens.amplitudes[k], ens.omegas[k], ens.phases[r, k]
-                boost = math.sqrt(1.0 + (epsilon * w) ** 2)
-                arg = phi + math.atan(epsilon * w)
+        weights = ens.weights(epsilon)
+        assert weights.shape == (64,) and weights.dtype == complex
+        phasors = zpf._unit_phasors(ens.phases, np.empty(ens.phases.shape, dtype=complex))
+        for k in range(64):
+            a, w = ens.amplitudes[k], ens.omegas[k]
+            boost = math.sqrt(1.0 + (epsilon * w) ** 2)
+            tilt = math.atan(epsilon * w)
+            ref = complex(a * boost * math.cos(tilt), a * boost * math.sin(tilt))
+            assert abs(weights[k] - ref) <= 4 * 2**-52 * abs(ref)
+            # the coefficient a mode sum forms, A (1 + i eps w) e^{i phi} with
+            # e^{i phi} from tan(phi / 2), not libm's cos and sin of phi + atan(eps w)
+            for r in range(3):
+                arg = ens.phases[r, k] + tilt
                 ref = complex(a * boost * math.cos(arg), a * boost * math.sin(arg))
-                # the kernel forms A (1 + i eps w) e^{i phi}, e^{i phi} from
-                # tan(phi / 2), not libm's cos and sin of phi + atan(eps w)
-                assert abs(c[r, k] - ref) <= 4 * 2**-52 * abs(ref)
+                assert abs(weights[k] * phasors[r, k] - ref) <= 4 * 2**-52 * abs(ref)
 
 
 class TestCoefficientKernel:
-    """ModeEnsemble.coefficients against references that share no code with it."""
+    """The unit phasors against libm, and the coefficients that period_sum forms
+    from them one realization at a time, in place."""
 
     def test_unit_phasor_matches_libm(self):
-        # at eps = 0 and unit amplitudes c is e^{i phi}; phi spans every phase
+        # phi spans every phase
         edges = [0.0, math.pi / 2.0, math.nextafter(math.pi, -math.inf), math.pi,
                  math.nextafter(math.pi, math.inf), 1.5 * math.pi,
                  math.nextafter(2.0 * math.pi, 0.0), 2.0 * math.pi]
         theta = np.concatenate((np.linspace(0.0, 2.0 * math.pi, 100_003), edges))
-        ens = ModeEnsemble(band=(0.8, 1.2), amplitudes=np.ones(len(theta)),
-                           phases=theta[None, :])
-        c = ens.coefficients()[0]
+        c = zpf._unit_phasors(theta, np.empty(len(theta), dtype=complex))
         ref = np.array([complex(math.cos(x), math.sin(x)) for x in theta])
         assert np.max(np.abs(c - ref)) <= 3 * 2**-52
         assert np.max(np.abs(np.abs(c) - 1.0)) <= 3 * 2**-52
-        # written, as stationary_mean_z2 writes them, into the first K columns
-        # of a wider buffer, a strided view, whose other columns stay as they were
+        # written, as period_sum and stationary_mean_z2 write them, into the
+        # first K columns of a wider buffer, a strided view, whose other columns
+        # stay as they were
         buf = np.full((2, len(theta) + 5), 7.0 + 7.0j)
         out = buf[:, :len(theta)]
         assert zpf._unit_phasors(np.stack((theta, theta)), out) is out
@@ -202,24 +207,30 @@ class TestCoefficientKernel:
         assert np.all(buf[:, len(theta):] == 7.0 + 7.0j)
 
     def test_rows_are_independent(self):
+        # period_sum's rows are those of one-row ensembles, byte for byte
         ens = synthesize_ensemble(0.05, BAND, 300, child_seeds(9, 111))
-        c = ens.coefficients(0.05)
-        for r in range(len(c)):
+        h, e = period_sum(ens, 320)
+        for r in range(len(e)):
             row = dataclasses.replace(ens, phases=ens.phases[r:r + 1])
-            assert c[r].tobytes() == row.coefficients(0.05)[0].tobytes()
+            h_row, e_row = period_sum(row, 320)
+            assert h_row == h and e[r].tobytes() == e_row[0].tobytes()
 
     def test_memory_is_the_result_plus_a_few_rows(self):
-        # beyond the coefficients, eight rows of 24 bytes per mode: 786 KB
+        # beyond the sums, the ramp and the buffer of n values each (s^2 >= n)
+        # and two rows of 16 bytes per mode: 2.2 MB at the 64,800 samples of a
+        # unit step. The (R, K) coefficients are not formed: they would be 4.2 MB
         import tracemalloc
 
         ens = synthesize_ensemble(0.05, BAND, 4096, child_seeds(3, 64))
+        n = zpf._fft_len(math.ceil(ens.t_rec))
+        s = math.isqrt(n - 1) + 1
         tracemalloc.start()
         try:
-            c = ens.coefficients(0.05)
+            _, e = period_sum(ens, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - c.nbytes <= 8 * 24 * 4096
+        assert peak - e.nbytes <= 32 * s * s + 32 * 4096
 
 
 class TestEvaluation:
@@ -282,16 +293,20 @@ class TestModeSumOracle:
         # 2000 modes, up to 0.99 of the recurrence time 2*pi/d_omega
         (BAND, 2000, 15545),
     ], ids=["two-modes", "grid", "offset-grid", "n-equals-K", "2000-modes-near-t_rec"])
-    # None: one realization, drawn as K values and summed as a one-row array
+    # None: one realization, a one-row ensemble against a double sum of (K,) coefficients
     @pytest.mark.parametrize("n_real", [None, 3])
     def test_matches_double_sum(self, band, n_modes, n, n_real):
+        # random amplitudes and phases: A cos(w t + phi) = cc cos(w t) + sc sin(w t)
+        # with cc = A cos phi and sc = -A sin phi
         omegas = np.linspace(band[0], band[1], n_modes)
-        shape = (n_modes,) if n_real is None else (n_modes, n_real)
         rng = np.random.default_rng(17)
-        cos_coeff = rng.normal(size=shape)
-        sin_coeff = rng.normal(size=shape)
-        coeff = np.transpose(cos_coeff - 1j * sin_coeff).reshape(-1, n_modes)
-        h, got = period_sum(band, coeff, n)
+        amplitudes = rng.uniform(0.0, 2.0, n_modes)
+        phases = rng.uniform(0.0, 2.0 * math.pi, (1 if n_real is None else n_real, n_modes))
+        cos_coeff = np.transpose(amplitudes * np.cos(phases))
+        sin_coeff = np.transpose(-amplitudes * np.sin(phases))
+        if n_real is None:
+            cos_coeff, sin_coeff = cos_coeff[:, 0], sin_coeff[:, 0]
+        h, got = period_sum(ModeEnsemble(band, amplitudes, phases), n)
         assert h * n * (band[1] - band[0]) / (n_modes - 1) == pytest.approx(2.0 * math.pi)
         times = h * np.arange(n)
         if n_modes == 2000:
@@ -312,8 +327,8 @@ class TestModeSumOracle:
             pytest.skip("numpy's long double is no wider than a double here")
         n, d_omega = 30_000, (BAND[1] - BAND[0]) / 1999
         ens = synthesize_ensemble(EPS_CODATA, BAND, 2000, child_seeds(1, 1))
-        c = ens.coefficients()[0]
-        _, (got,) = period_sum(BAND, c[None, :], n)
+        _, (got,) = period_sum(ens, n)
+        c = ens.amplitudes * np.exp(1j * ens.phases[0])
         j = np.concatenate((np.arange(250), np.arange(n - 250, n)))
         t = 2 * ld("3.14159265358979323846264338327950288") * j / (ld(d_omega) * n)
         phase = np.multiply.outer(t, ld(BAND[0]) + np.arange(2000) * ld(d_omega))
@@ -323,7 +338,7 @@ class TestModeSumOracle:
     def test_fewer_samples_than_modes_rejected(self):
         # numpy.fft.ifft(c, n) would silently drop the modes past the n-th
         with pytest.raises(ValueError, match="64 modes"):
-            period_sum(BAND, np.ones((1, 64), dtype=complex), 63)
+            period_sum(ModeEnsemble(BAND, np.ones(64), np.zeros((1, 64))), 63)
 
     @pytest.mark.parametrize("n_modes", [2000, 1500])
     def test_one_period_mean_square_is_exact(self, n_modes):
@@ -332,7 +347,7 @@ class TestModeSumOracle:
         # to zero: the mean square is sum A_k^2 / 2 to rounding. On (0.83, 1.2)
         # the cross terms leave O(1 / n): 1.1e-5 at 2000 modes here
         ens = synthesize_ensemble(EPS_CODATA, BAND, n_modes, child_seeds(8, 3))
-        _, e = period_sum(ens.band, ens.coefficients(), zpf._fft_len(math.ceil(ens.t_rec)))
+        _, e = period_sum(ens, zpf._fft_len(math.ceil(ens.t_rec)))
         target = np.sum(ens.amplitudes**2) / 2.0
         assert np.max(np.abs(np.mean(e**2, axis=1) / target - 1.0)) <= 1e-12
 
