@@ -23,6 +23,32 @@ def read_bytes(path):
         return fh.read()
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def child_env(**extra):
+    # a child process imports the package from this checkout
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+def default_and_bench_configs():
+    # the seven default scenarios and the bench's stationary config
+    configs = [{"scenario": name} for name in SCENARIO_NAMES]
+    configs.append(json.loads((REPO / "perfbench" / "configs" / "stationary.json")
+                              .read_text()))
+    return configs
+
+
 class TestConfigValidation:
     def test_defaults_filled(self):
         sc = validate_config({"scenario": "transient"})
@@ -319,10 +345,7 @@ class TestReproducibility:
             pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
         if not {"X86_V3", "AVX2"} & {*simd["baseline"], *simd["found"]}:
             pytest.skip("the Haswell kernel needs AVX2")
-        repo = Path(__file__).resolve().parents[1]
-        configs = [{"scenario": name} for name in SCENARIO_NAMES]
-        configs.append(json.loads((repo / "perfbench" / "configs" / "stationary.json")
-                                  .read_text()))
+        configs = default_and_bench_configs()
         code = ("import sys\n"
                 "from zitter.scenarios import run_scenario, validate_config\n"
                 f"for i, config in enumerate({configs!r}):\n"
@@ -332,18 +355,46 @@ class TestReproducibility:
         for i, config in enumerate(configs):
             run_scenario(validate_config(dict(config, seed=1)), str(here / str(i)))
         files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
         for coretype in ("Prescott", "Haswell", "Sandybridge"):
             out = tmp_path / coretype
             done = subprocess.run([sys.executable, "-c", code, str(out)],
-                                  env=dict(env, OPENBLAS_CORETYPE=coretype),
+                                  env=child_env(OPENBLAS_CORETYPE=coretype),
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
             for name in files:
                 assert read_bytes(out / name) == read_bytes(here / name), (coretype, name)
+
+    def test_bytes_do_not_depend_on_the_allocator_policy(self, tmp_path):
+        # cli.main keeps freed heap memory in the process on glibc; a child
+        # without that policy writes every default scenario and the bench's
+        # stationary config byte for byte as a child with it
+        import subprocess
+        import sys
+
+        paths = []
+        for i, config in enumerate(default_and_bench_configs()):
+            paths.append(str(tmp_path / f"{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(config))
+        code = ("import sys\n"
+                "from zitter import cli\n"
+                "if sys.argv[2] == 'off':\n"
+                "    cli._hold_freed_memory = lambda: None\n"
+                f"for i, path in enumerate({paths!r}):\n"
+                "    assert cli.main(['run', '--config', path, '--seed', '1',\n"
+                "                     '--out', f'{sys.argv[1]}/{i}']) == 0\n")
+        files = {}
+        for policy in ("on", "off"):
+            out = tmp_path / policy
+            done = subprocess.run([sys.executable, "-c", code, str(out), policy],
+                                  env=child_env(), capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            files[policy] = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(files["on"]) > len(paths)
+        assert files["on"] == files["off"]
+        for name in files["on"]:
+            assert read_bytes(tmp_path / "on" / name) == read_bytes(tmp_path / "off" / name), name
 
     def test_manifest_is_valid_config(self, tmp_path):
         rc = main(["run", "--scenario", "roots", "--out", str(tmp_path)])
@@ -351,6 +402,62 @@ class TestReproducibility:
         sc = validate_config(read_json(tmp_path / "manifest.json"))
         assert sc.name == "roots"
         assert sc.params["epsilons"] is not None
+
+
+class TestAllocatorPolicy:
+    def test_repeated_psd_check_faults_in_no_pages(self, tmp_path):
+        # glibc trims the heap top after each large free, so without the policy
+        # a second default psd-check in one process faults its inverse-FFT
+        # scratch and Welch arrays in again, 707-907 pages
+        import subprocess
+        import sys
+
+        if not on_glibc():
+            pytest.skip("the allocator policy applies on glibc only")
+        code = ("import resource, sys\n"
+                "from zitter import cli\n"
+                "for i in range(2):\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    assert cli.main(['run', '--scenario', 'psd-check',\n"
+                "                     '--out', f'{sys.argv[1]}/{i}']) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=child_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 100
+
+    def test_glibc_sets_both_thresholds(self, tmp_path, monkeypatch):
+        # the trim threshold alone would switch off glibc's dynamic mmap
+        # threshold and map every array over 128 KB afresh
+        import ctypes
+
+        if not on_glibc():
+            pytest.skip("the allocator policy applies on glibc only")
+        calls = []
+        libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert main(["run", "--scenario", "constants", "--out", str(tmp_path)]) == 0
+        assert [option for option, _ in calls] == [-1, -3]  # M_TRIM_, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("case", ["other-libc", "no-confstr", "no-mallopt"])
+    def test_elsewhere_the_policy_is_a_silent_no_op(self, tmp_path, monkeypatch, capsys, case):
+        import ctypes
+
+        def other_libc(name):
+            raise ValueError("unrecognized configuration name")
+
+        calls = []
+        libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+        if case == "other-libc":
+            monkeypatch.setattr(os, "confstr", other_libc)
+        elif case == "no-confstr":
+            monkeypatch.delattr(os, "confstr", raising=False)
+        else:
+            libc = object()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert main(["run", "--scenario", "constants", "--out", str(tmp_path)]) == 0
+        assert calls == []
+        assert capsys.readouterr().err == ""
 
 
 class TestExitCodes:
@@ -665,7 +772,6 @@ class TestExitCodes:
         import subprocess
         import sys
 
-        repo = Path(__file__).resolve().parents[1]
         config = tmp_path / "stationary.json"
         config.write_text(json.dumps({"scenario": "stationary", "params": {
             "n_modes": 200, "n_realizations": 4, "t_max": 300.0, "discard_time": 100.0}}))
@@ -677,10 +783,7 @@ class TestExitCodes:
                 "from zitter import cli\n"
                 f"codes = [cli.main(argv) for argv in {runs!r}]\n"
                 "print(json.dumps([codes, sorted(sys.modules)]))\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         codes, modules = json.loads(done.stdout.splitlines()[-1])
@@ -702,16 +805,13 @@ class TestExitCodes:
         except ModuleNotFoundError:  # Python 3.10
             tomllib = pytest.importorskip("tomli")
 
-        repo = Path(__file__).resolve().parents[1]
-        with open(repo / "pyproject.toml", "rb") as fh:
+        with open(REPO / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts.get("zitter") == "zitter.cli:entry"
         module_name, func_name = scripts["zitter"].split(":")
         assert callable(getattr(importlib.import_module(module_name), func_name))
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+        env = child_env()
         wrapper = (f"import sys; from {module_name} import {func_name}; "
                    f"sys.argv[0] = 'zitter'; sys.exit({func_name}())")
         commands = {"source": [sys.executable, "-c", wrapper]}
