@@ -57,14 +57,12 @@ def _make_out_dir(path: str) -> None:
 
 
 def _hold_freed_memory() -> None:
-    """Keep freed heap memory in the process, on glibc; a no-op elsewhere.
+    """Keep freed heap memory in the process on glibc; a no-op elsewhere.
 
-    glibc gives the heap top back to the kernel once 128 KB or more lies free
-    there, so each temporary array that is freed and allocated again (an
-    inverse FFT's scratch, the Welch segments) is faulted in again page by
-    page. Keep up to 32 MB free, and map only arrays over 4 MB: setting the
-    trim threshold switches off glibc's dynamic mmap threshold. The outputs
-    do not depend on it.
+    glibc gives its heap top back to the kernel once 128 KB lies free there,
+    so temporary arrays (inverse-FFT scratch, Welch segments) are faulted in
+    again on each allocation. Keep 32 MB, and map only arrays over 4 MB:
+    setting the trim threshold switches off glibc's dynamic mmap threshold.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -374,8 +374,9 @@ class TestReproducibility:
 
         paths = []
         for i, config in enumerate(default_and_bench_configs()):
-            paths.append(str(tmp_path / f"{i}.json"))
-            Path(paths[-1]).write_text(json.dumps(config))
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(config))
+            paths.append(str(path))
         code = ("import sys\n"
                 "from zitter import cli\n"
                 "if sys.argv[2] == 'off':\n"
@@ -408,7 +409,7 @@ class TestAllocatorPolicy:
     def test_repeated_psd_check_faults_in_no_pages(self, tmp_path):
         # glibc trims the heap top after each large free, so without the policy
         # a second default psd-check in one process faults its inverse-FFT
-        # scratch and Welch arrays in again, 707-907 pages
+        # scratch and Welch arrays in again, 707-908 pages
         import subprocess
         import sys
 
@@ -426,37 +427,29 @@ class TestAllocatorPolicy:
         assert done.returncode == 0, done.stderr
         assert int(done.stdout.split()[-1]) < 100
 
-    def test_glibc_sets_both_thresholds(self, tmp_path, monkeypatch):
-        # the trim threshold alone would switch off glibc's dynamic mmap
-        # threshold and map every array over 128 KB afresh
-        import ctypes
-
-        if not on_glibc():
-            pytest.skip("the allocator policy applies on glibc only")
-        calls = []
-        libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-        assert main(["run", "--scenario", "constants", "--out", str(tmp_path)]) == 0
-        assert [option for option, _ in calls] == [-1, -3]  # M_TRIM_, M_MMAP_THRESHOLD
-
-    @pytest.mark.parametrize("case", ["other-libc", "no-confstr", "no-mallopt"])
-    def test_elsewhere_the_policy_is_a_silent_no_op(self, tmp_path, monkeypatch, capsys, case):
+    @pytest.mark.parametrize("case", ["glibc", "other-libc", "no-confstr", "no-mallopt"])
+    def test_mallopt_is_called_on_glibc_only(self, tmp_path, monkeypatch, capsys, case):
+        # both thresholds, trim first: the trim threshold alone would switch
+        # off glibc's dynamic mmap threshold and map every array over 128 KB
+        # afresh. Elsewhere the policy is a silent no-op
         import ctypes
 
         def other_libc(name):
             raise ValueError("unrecognized configuration name")
 
+        if case == "glibc" and not on_glibc():
+            pytest.skip("the allocator policy applies on glibc only")
         calls = []
         libc = type("Libc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
         if case == "other-libc":
             monkeypatch.setattr(os, "confstr", other_libc)
         elif case == "no-confstr":
             monkeypatch.delattr(os, "confstr", raising=False)
-        else:
+        elif case == "no-mallopt":
             libc = object()
         monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
         assert main(["run", "--scenario", "constants", "--out", str(tmp_path)]) == 0
-        assert calls == []
+        assert [option for option, _ in calls] == ([-1, -3] if case == "glibc" else [])
         assert capsys.readouterr().err == ""
 
 
