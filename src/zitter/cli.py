@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import ctypes
+import getopt
 import json
 import os
 import sys
@@ -16,21 +16,26 @@ import numpy as np
 from .errors import ConfigError, NumericalInstabilityError
 from .scenarios import SCENARIO_NAMES, run_scenario, validate_config
 
+_USAGE = ("usage: zitter run [--scenario {" + ",".join(SCENARIO_NAMES) + "}]"
+          " [--config FILE] [--seed N] --out DIR")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zitter",
-        description="Simulate Compton-frequency electron dynamics driven by "
-                    "band-limited zero-point radiation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a named scenario end to end")
-    run.add_argument("--scenario", choices=SCENARIO_NAMES,
-                     help="scenario name (may also come from the config file)")
-    run.add_argument("--config", help="JSON config file (a manifest.json also works)")
-    run.add_argument("--seed", type=int, help="64-bit master seed")
-    run.add_argument("--out", required=True, help="output directory")
-    return parser
+
+def _parse_args(argv: list[str]) -> dict[str, str] | None:
+    """``run``'s options by long name (``--opt value``, ``--opt=value`` or a unique prefix
+    such as ``--sc``), or None when ``-h`` or ``--help`` asks for the usage."""
+    # gnu_getopt stops at the first positional under POSIXLY_CORRECT: read ``run`` off first
+    command = argv[:1] if argv[:1] == ["run"] else []
+    try:
+        opts, args = getopt.gnu_getopt(argv[len(command):], "h",
+                                       ["help", "scenario=", "config=", "seed=", "out="])
+    except getopt.GetoptError as exc:
+        raise ConfigError(f"{exc}; {_USAGE}") from exc
+    options = dict(opts)  # a repeated option keeps its last value
+    if "-h" in options or "--help" in options:
+        return None
+    if command + args != ["run"] or "--out" not in options:
+        raise ConfigError(f"expected 'run' and its options, --out among them, got {argv}; {_USAGE}")
+    return options
 
 
 def _load_config(path: str | None) -> dict:
@@ -76,18 +81,24 @@ def _hold_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _hold_freed_memory()
-    args = _build_parser().parse_args(argv)
     try:
-        raw = _load_config(args.config)
-        if args.scenario is not None:
-            raw["scenario"] = args.scenario
-        if args.seed is not None:
-            raw["seed"] = args.seed
+        options = _parse_args(sys.argv[1:] if argv is None else argv)
+        if options is None:
+            print(_USAGE)
+            return 0
+        raw = _load_config(options.get("--config"))
+        if "--scenario" in options:
+            raw["scenario"] = options["--scenario"]
+        if "--seed" in options:
+            try:
+                raw["seed"] = int(options["--seed"])
+            except ValueError:  # left as text for validate_config to refuse
+                raw["seed"] = options["--seed"]
         scenario = validate_config(raw)
-        _make_out_dir(args.out)
+        _make_out_dir(options["--out"])
         # overflow is refused with one message; numpy's warnings would precede it
         with np.errstate(all="ignore"):
-            run_scenario(scenario, args.out)
+            run_scenario(scenario, options["--out"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

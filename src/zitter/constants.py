@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 # statC per coulomb (numerically c_cm_per_s / 10)
 _STATC_PER_COULOMB = 2.99792458e9
@@ -90,11 +90,9 @@ def load_constants(path: str | None = None) -> FundamentalConstants:
     With no path, the packaged canonical CODATA-valued file is used.
     """
     if path is None:
-        text = resources.files("zitter.data").joinpath("codata_gaussian.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
+        path = os.path.join(os.path.dirname(__file__), "data", "codata_gaussian.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
     missing = [k for k in _FILE_KEYS if k not in raw]
     if missing:
         raise ValueError(f"constants file is missing keys: {missing}")

@@ -759,6 +759,49 @@ class TestExitCodes:
         assert manifest["scenario"] == "constants"
         assert manifest["seed"] == 9
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "nope", "--out", "OUT"],
+        ["run", "--scenario", "constants"],
+        ["run", "--scenario", "constants", "--seed", "x", "--out", "OUT"],
+        ["run", "--scenario", "constants", "--out"],
+        ["run", "--scenario", "constants", "--out", "OUT", "--extra"],
+        ["run", "--s", "constants", "--out", "OUT"],
+        ["--scenario", "constants", "--out", "OUT"],
+        [],
+        ["bogus", "--scenario", "constants", "--out", "OUT"],
+        ["run", "--scenario", "constants", "--out", "OUT", "extra"],
+    ], ids=["unknown-scenario", "no-out", "seed-not-int", "out-without-value",
+            "unknown-option", "ambiguous-prefix", "no-command", "empty", "bogus-command",
+            "extra-positional"])
+    def test_command_line_refusals_are_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["bogus", "-h"],
+                                      ["run", "--scenario", "constants", "--out", "OUT", "--he"]],
+                             ids=["--help", "-h", "after-bogus", "prefix-after-run"])
+    def test_help_prints_the_usage(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: zitter run ") and captured.out.count("\n") == 1
+        assert all(name in captured.out for name in SCENARIO_NAMES)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("posixly_correct", [False, True], ids=["gnu", "posixly-correct"])
+    def test_option_forms_run(self, tmp_path, monkeypatch, posixly_correct):
+        # a unique prefix, --opt=value and a seed that int() reads, all after ``run``
+        if posixly_correct:
+            monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        out = tmp_path / "out"
+        assert main(["run", "--sc", "constants", f"--out={out}", "--seed", "+12"]) == 0
+        assert read_json(out / "manifest.json")["seed"] == 12
+
     def test_cli_path_imports_no_scipy_signal(self, tmp_path):
         # scipy.signal drags in scipy.stats, .optimize and .interpolate, ~1.3 s
         # of import; the scenarios a CLI run reaches need numpy alone

@@ -130,6 +130,25 @@ _CHILD = ("import resource, runpy; "
           "runpy.run_module('zitter.cli', run_name='__main__')")
 
 
+def _not_an_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+#: how each drawn command line is edited; every edit but "none" makes it a refusal
+_ARGV_EDITS = ("none", "drop --out", "bad --seed", "unknown flag", "drop run")
+#: --seed texts that int() refuses (an argument holds no NUL and no lone surrogate)
+_SEED_TEXTS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+                      ).filter(_not_an_integer)
+#: long options that are no prefix of ``zitter run``'s, so that none is taken for one
+_UNKNOWN_FLAGS = st.from_regex(r"[a-z][a-z0-9-]{0,7}", fullmatch=True).filter(
+    lambda flag: not any(option.startswith(flag)
+                         for option in ("help", "scenario", "config", "seed", "out")))
+
+
 #: 30 derandomized examples, unless the ``cli-fuzz`` profile (tests/conftest.py)
 #: is loaded to set the count and draw from ``--hypothesis-seed``
 _CLI_EXAMPLES = ({} if settings.get_current_profile_name() == "cli-fuzz"
@@ -152,23 +171,32 @@ def test_cli_exits_0_2_or_3_and_refusals_write_nothing(data, dc):
     raw = {"scenario": name, "params": params}
     if data.draw(st.booleans(), label="with seed"):
         raw["seed"] = data.draw(values(st.integers(0, 2**64 - 1)), label="seed")
-    refused = False
+    edit = data.draw(st.sampled_from(_ARGV_EDITS), label="argv edit")
+    refused = edit != "none"
     try:
         sc = validate_config(raw)
         work = scenarios._cost(name, scenarios._resolve(name, sc.params, dc))[2]
     except ConfigError:
         refused = True  # refused configs run too
     else:
-        assume(work <= _CHILD_WORK)
+        assume(refused or work <= _CHILD_WORK)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config.write_text(json.dumps(raw))
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, "run", "--config", str(config), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120)
+        argv = ["run", "--config", str(config), "--out", str(out)]
+        if edit == "drop --out":
+            argv = argv[:3]
+        elif edit == "bad --seed":
+            argv += ["--seed", data.draw(_SEED_TEXTS, label="seed text")]
+        elif edit == "unknown flag":
+            argv.append("--" + data.draw(_UNKNOWN_FLAGS, label="flag"))
+        elif edit == "drop run":
+            argv = argv[1:]
+        proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode in (0, 2, 3), proc.stderr
         assert not refused or proc.returncode == 2, proc.stderr
         # success is silent; a refusal or a failure is one line of message, no

@@ -18,15 +18,22 @@ RUNTIME_PACKAGES = {"numpy", "zitter"}
 NEWER_STDLIB = {"tomllib"}
 
 
+def imported_modules(source):
+    """Dotted name of every absolute import in ``source``, and of each name it takes
+    from a module (``from importlib import resources`` gives ``importlib.resources``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
 def imported_packages(path):
     """Top-level package of every absolute import in one source file."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
-    return names
+    return {name.split(".")[0] for name in imported_modules(path.read_text(encoding="utf-8"))}
 
 
 @pytest.mark.parametrize("path", sorted((REPO / "src" / "zitter").glob("*.py")),
@@ -34,6 +41,31 @@ def imported_packages(path):
 def test_source_imports_only_stdlib_and_numpy(path):
     foreign = imported_packages(path) - RUNTIME_PACKAGES - set(sys.stdlib_module_names)
     assert foreign == set()
+
+
+#: argparse refuses a bad command line past ``cli.main``'s handler, on several
+#: lines of its own; importlib.resources read the packaged CODATA file 3-4x
+#: slower than its path does
+FORBIDDEN_MODULES = {"argparse", "importlib.resources"}
+
+
+def forbidden_imports(source):
+    return sorted(name for name in imported_modules(source)
+                  if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN_MODULES))
+
+
+def test_forbidden_import_guard_sees_each_form():
+    source = ("import argparse\nfrom argparse import ArgumentParser\n"
+              "import importlib.resources\nfrom importlib import resources\n"
+              "from importlib.resources import files\nimport importlib.metadata\n")
+    assert forbidden_imports(source) == ["argparse", "argparse.ArgumentParser",
+                                         "importlib.resources", "importlib.resources.files"]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "src" / "zitter").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_source_imports_no_argparse_or_importlib_resources(path):
+    assert forbidden_imports(path.read_text(encoding="utf-8")) == []
 
 
 def load_project():
